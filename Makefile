@@ -44,7 +44,7 @@ test-faults:
 	REPRO_FAULTS="worker-crash:p=0.2:seed=1" REPRO_SANITIZE=1 \
 		PYTHONPATH=src python -m pytest -x -q \
 		tests/test_bench_pool.py tests/test_ordering_store.py \
-		tests/test_resilience_supervisor.py \
+		tests/test_content_store.py tests/test_resilience_supervisor.py \
 		tests/test_resilience_faults.py tests/test_resilience_journal.py
 	# degradation-ladder suite: each test pins its own REPRO_FAULTS
 	# (an ambient disk-full would break the clean-write assertions)

@@ -63,7 +63,7 @@ SANCTIONED_ENV_MODULES = frozenset(
         "repro.analysis.sanitize",
         "repro.resilience.degrade",
         "repro.resilience.faults",
-        "repro.resilience.journal",
+        "repro.resilience.store",
     }
 )
 

@@ -30,6 +30,7 @@ process-wide defaults.
 
 from __future__ import annotations
 
+import multiprocessing
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..resilience import faults
@@ -88,8 +89,12 @@ def set_default_jobs(jobs: int) -> None:
 
 
 def default_jobs() -> int:
-    """The process-wide default pool width."""
-    return _default_jobs
+    """The process-wide default pool width; 1 inside a pool worker.
+
+    Workers are daemonic and cannot start processes, so fan-out nested
+    in a cell (e.g. the batched RRR sampler) runs sequentially there.
+    """
+    return 1 if multiprocessing.current_process().daemon else _default_jobs
 
 
 def set_default_timeout(timeout: float | None) -> None:
@@ -160,7 +165,7 @@ def map_cells_detailed(
     completes.  ``worker_init`` runs once per (re)spawned worker (see
     :func:`repro.resilience.supervisor.run_supervised`).
     """
-    width = jobs if jobs is not None else _default_jobs
+    width = jobs if jobs is not None else default_jobs()
     if width < 1:
         raise ValueError("jobs must be >= 1")
     return run_supervised(
@@ -194,7 +199,7 @@ def map_cells(
     original exception).
     """
     cell_list: Sequence[T] = list(cells)
-    width = jobs if jobs is not None else _default_jobs
+    width = jobs if jobs is not None else default_jobs()
     if width < 1:
         raise ValueError("jobs must be >= 1")
     if not cell_list:

@@ -27,13 +27,14 @@ The JSON header records the array geometry, the graph's
 ``meta`` dict; array offsets are *derived* from the geometry, never
 stored, so the header cannot contradict the layout.
 
-Like the ordering cache (:mod:`repro.ordering.store`), the store is
-self-healing and never raises on damaged entries: a bad magic, torn
-header, short file, or (when verification is on) a content-hash
-mismatch quarantines the file to ``<entry>.bad`` and reports a miss, so
-callers rebuild and rewrite.  Writes are atomic (temp + ``os.replace``)
-and the ``cache-corrupt`` injected fault tears fresh entries to keep
-the recovery path property-tested.
+Like the ordering cache (:mod:`repro.ordering.store`), the store sits
+on the shared content-store primitive
+(:class:`repro.resilience.store.ContentStore`), so it is self-healing
+and never raises on damaged entries: a bad magic, torn header, short
+file, or (when verification is on) a content-hash mismatch quarantines
+the file to ``<entry>.bad`` and reports a miss, so callers rebuild and
+rewrite.  This module holds only the ``.rgr`` layout and the mmap vs
+copying attach.
 
 Environment switches:
 
@@ -46,14 +47,14 @@ Environment switches:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import tempfile
 
 import numpy as np
 
 from ..analysis import sanitize
-from ..resilience import degrade, faults
+from ..resilience.store import ContentStore, atomic_write, cache_root
 from .csr import CSRGraph
 
 __all__ = [
@@ -78,9 +79,6 @@ _PAGE = 4096
 
 #: magic + uint64 header length.
 _PREAMBLE = 12
-
-#: damaged entries raise these at parse time; all mean "quarantine".
-_CORRUPTION_ERRORS = (OSError, EOFError, KeyError, ValueError, TypeError)
 
 
 def store_enabled() -> bool:
@@ -120,14 +118,8 @@ def _json_safe_meta(meta: dict | None) -> dict:
     return safe
 
 
-def write_graph_file(path: str, graph: CSRGraph) -> str:
-    """Serialise ``graph`` to ``path`` atomically; returns ``path``.
-
-    The write goes to a temp file in the target directory and is
-    published with ``os.replace``, so concurrent writers of the same
-    entry land identical bytes and readers never see a torn file
-    (except through the deliberate ``cache-corrupt`` fault).
-    """
+def _write_rgr(graph: CSRGraph, handle) -> None:
+    """Write the ``.rgr`` bytes of ``graph`` to an open binary file."""
     n = graph.num_vertices
     mdir = graph.num_directed_edges
     weighted = graph.is_weighted
@@ -140,41 +132,34 @@ def write_graph_file(path: str, graph: CSRGraph) -> str:
         "meta": _json_safe_meta(graph._meta),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    indptr_off, indices_off, weights_off, _end = _layout(
+    indptr_off, indices_off, weights_off, end = _layout(
         len(header_bytes), n, mdir, weighted
     )
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-", suffix=".rgr"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(len(header_bytes).to_bytes(8, "little"))
-            handle.write(header_bytes)
-            for offset, array in (
-                (indptr_off, graph.indptr),
-                (indices_off, graph.indices),
-                (weights_off, graph.weights),
-            ):
-                if array is None:
-                    continue
-                handle.seek(offset)
-                handle.write(np.ascontiguousarray(array).tobytes())
-            # zero-length arrays write nothing; pad so the file always
-            # spans the derived layout and the load-side size check is
-            # uniform.
-            handle.truncate(_end)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass  # degrade: scratch file on a refusing volume; no route
-        raise
-    faults.maybe_cache_corrupt(path)
-    return path
+    handle.write(MAGIC)
+    handle.write(len(header_bytes).to_bytes(8, "little"))
+    handle.write(header_bytes)
+    for offset, array in (
+        (indptr_off, graph.indptr),
+        (indices_off, graph.indices),
+        (weights_off, graph.weights),
+    ):
+        if array is None:
+            continue
+        handle.seek(offset)
+        handle.write(np.ascontiguousarray(array).tobytes())
+    # zero-length arrays write nothing; pad so the file always spans
+    # the derived layout and the load-side size check is uniform.
+    handle.truncate(end)
+
+
+def write_graph_file(path: str, graph: CSRGraph) -> str:
+    """Serialise ``graph`` to ``path`` atomically; returns ``path``.
+
+    Strict: a refused write raises (only :class:`GraphStore` degrades).
+    Concurrent writers of the same entry land identical bytes and
+    readers never see a torn file.
+    """
+    return atomic_write(path, functools.partial(_write_rgr, graph))
 
 
 def _read_arrays(path: str, header: dict):
@@ -249,7 +234,7 @@ def read_graph_file(path: str, *, verify: bool = False) -> CSRGraph:
     return graph
 
 
-class GraphStore:
+class GraphStore(ContentStore):
     """A keyed on-disk collection of ``.rgr`` graphs with quarantine.
 
     Keys are caller-chosen strings (the dataset registry derives them
@@ -259,31 +244,15 @@ class GraphStore:
     OrderingStore`.
     """
 
+    site = "graph-store"
+    suffix = ".rgr"
+
     def __init__(self, root: str | None = None) -> None:
-        if root is None:
-            root = _default_root()
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
+        super().__init__(_default_root() if root is None else root)
 
     def path(self, key: str) -> str:
         """Full path of the entry for ``key``."""
         return os.path.join(self.root, f"{key}.rgr")
-
-    def _quarantine(self, path: str, reason: str) -> None:
-        try:
-            os.replace(path, path + ".bad")
-            self.quarantined += 1
-        except OSError as exc:
-            # degrade: could not even move the damaged entry aside
-            degrade.record("graph-store", "quarantine-failed", exc)
-            return
-        degrade.record(
-            "graph-store",
-            "quarantined",
-            f"{os.path.basename(path)}: {reason}",
-        )
 
     def load(self, key: str, *, verify: bool = False) -> CSRGraph | None:
         """The stored graph, or ``None`` on a miss (never raises).
@@ -291,74 +260,18 @@ class GraphStore:
         Damaged entries are quarantined to ``<entry>.bad`` and counted
         as misses; the caller rebuilds and :meth:`save` overwrites.
         """
-        path = self.path(key)
-        if os.path.isfile(path) and faults.maybe_store_torn_read(path):
-            # deterministic stand-in for an mmap SIGBUS / torn page:
-            # same quarantine-and-rebuild path as genuine damage
-            self._quarantine(path, "injected store-torn-read")
-            self.misses += 1
-            return None
-        try:
-            graph = read_graph_file(path, verify=verify)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except _CORRUPTION_ERRORS as exc:
-            if os.path.isfile(path):
-                self._quarantine(path, f"{exc.__class__.__name__}: {exc}")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return graph
+        return self._read(
+            self.path(key), functools.partial(read_graph_file, verify=verify)
+        )
 
     def save(self, key: str, graph: CSRGraph) -> str | None:
         """Persist ``graph`` under ``key``; returns the entry path.
 
         A volume refusing the write (``ENOSPC``, read-only, …) degrades
-        to compute-without-cache: the error is counted and warned once
-        (:mod:`repro.resilience.degrade`) and ``None`` is returned.
-        ``write_graph_file`` stays strict — only the store layer owns
-        the degrade-not-crash contract.
+        to compute-without-cache and returns ``None``.
         """
-        path = self.path(key)
-        try:
-            faults.maybe_disk_full(path)
-            return write_graph_file(path, graph)
-        except OSError as exc:
-            # degrade: the built graph stays usable in memory; only the
-            # persistent layer is lost for this entry
-            degrade.record("graph-store.write", "disk-full", exc)
-            return None
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for name in os.listdir(self.root):
-            if name.endswith((".rgr", ".bad")):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass  # degrade: explicit maintenance; nothing to route
-        return removed
-
-    def entry_count(self) -> int:
-        """Number of live ``.rgr`` entries on disk."""
-        if not os.path.isdir(self.root):
-            return 0
-        return sum(
-            1 for name in os.listdir(self.root)
-            if name.endswith(".rgr") and not name.startswith(".tmp-")
-        )
-
-    def quarantined_count(self) -> int:
-        """Number of quarantined ``.bad`` files currently on disk."""
-        if not os.path.isdir(self.root):
-            return 0
-        return sum(
-            1 for name in os.listdir(self.root) if name.endswith(".bad")
+        return self._write(
+            self.path(key), functools.partial(_write_rgr, graph)
         )
 
 
@@ -366,8 +279,7 @@ def _default_root() -> str:
     override = os.environ.get(ENV_STORE, "")
     if override and override != "0":
         return override
-    cache_root = os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
-    return os.path.join(cache_root, "graphs")
+    return os.path.join(cache_root(), "graphs")
 
 
 def default_store() -> GraphStore | None:
@@ -379,12 +291,4 @@ def default_store() -> GraphStore | None:
     """
     if not store_enabled():
         return None
-    root = _default_root()
-    store = _STORES.get(root)
-    if store is None:
-        store = GraphStore(root)
-        _STORES[root] = store
-    return store
-
-
-_STORES: dict[str, GraphStore] = {}
+    return GraphStore.shared(_default_root())

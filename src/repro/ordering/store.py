@@ -17,18 +17,13 @@ version, seed, and every scalar constructor parameter).  Entries store the
 permutation plus the operation count and metadata, so a cache hit
 reproduces the fresh :class:`~repro.ordering.base.Ordering` exactly.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent pool workers
-can share one cache directory without corruption; the worst case is two
-workers computing the same entry and one harmlessly overwriting the other
-with identical bytes.
-
-The store is **self-healing**: every entry records a sha256 over its
-payload (permutation bytes, cost, metadata, schema version) at write
-time, and loads verify it.  A corrupt, truncated, or stale-schema entry
-is quarantined to ``<entry>.bad`` and treated as a miss — it gets
-recomputed and rewritten, and no exception ever escapes the store.  The
-``cache-corrupt`` fault of :mod:`repro.resilience.faults` tears entries
-deliberately so this recovery path stays property-tested.
+Every entry also records a sha256 over its payload (permutation bytes,
+cost, metadata, schema version) at write time, and loads verify it.  A
+corrupt, truncated, or stale-schema entry is quarantined and treated as
+a miss.  Atomic writes, quarantine, the fault hooks, disk-full
+degradation and the counters come from the shared content-store
+primitive, :class:`repro.resilience.store.ContentStore`; this module
+holds only the ``.npz`` format.
 
 Set ``REPRO_ORDERING_CACHE=0`` to disable the persistent layer entirely
 (the in-process memo in :mod:`repro.bench.runners` still applies).
@@ -40,13 +35,18 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 import zipfile
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..resilience import degrade, faults
+from ..resilience.store import (
+    DEFAULT_CACHE_DIR,
+    ENV_CACHE_DIR,
+    ContentStore,
+    CorruptEntry,
+    cache_root,
+)
 from .base import Ordering, OrderingScheme
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "ENV_CACHE_SWITCH",
 ]
 
-DEFAULT_CACHE_DIR = ".repro-cache"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_SWITCH = "REPRO_ORDERING_CACHE"
 
 #: bump to invalidate every persisted entry at once (format changes).
@@ -71,36 +69,73 @@ _REQUIRED_FIELDS = frozenset(
     {"permutation", "cost", "metadata", "schema", "checksum"}
 )
 
-#: parse-level failures a damaged npz can raise; anything in here is
-#: treated as corruption (quarantine + miss), never propagated.
-_CORRUPTION_ERRORS = (
-    OSError,
-    EOFError,
-    KeyError,
-    ValueError,
-    zipfile.BadZipFile,
-)
-
 
 def store_enabled() -> bool:
     """Whether the persistent layer is switched on (default: yes)."""
     return os.environ.get(ENV_CACHE_SWITCH, "1") != "0"
 
 
-class OrderingStore:
+def _payload_digest(
+    permutation: np.ndarray, cost: int, metadata_json: str
+) -> str:
+    """sha256 over everything an entry stores (the write-time seal)."""
+    digest = hashlib.sha256()
+    digest.update(f"fmt{_FORMAT_VERSION}:{int(cost)}:{metadata_json}:".encode())
+    digest.update(np.ascontiguousarray(permutation, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _encode(ordering: Ordering) -> bytes:
+    """The ``.npz`` bytes of one entry, sealed with its checksum."""
+    permutation = ordering.permutation.astype(np.int64)
+    metadata_json = json.dumps(ordering.metadata, sort_keys=True)
+    payload = io.BytesIO()
+    np.savez(
+        payload,
+        permutation=permutation,
+        cost=np.int64(ordering.cost),
+        metadata=metadata_json,
+        schema=np.int64(_FORMAT_VERSION),
+        checksum=_payload_digest(permutation, ordering.cost, metadata_json),
+    )
+    return payload.getvalue()
+
+
+def _decode(path: str, scheme_name: str, num_vertices: int) -> Ordering:
+    """The ordering in ``path``; raises :class:`CorruptEntry` on damage."""
+    with np.load(path, allow_pickle=False) as bundle:
+        if not _REQUIRED_FIELDS <= set(bundle.files):
+            raise CorruptEntry("stale schema (missing fields)")
+        if int(bundle["schema"]) != _FORMAT_VERSION:
+            raise CorruptEntry("stale schema version")
+        permutation = bundle["permutation"].astype(np.int64)
+        cost = int(bundle["cost"])
+        metadata_json = str(bundle["metadata"])
+        checksum = str(bundle["checksum"])
+    if checksum != _payload_digest(permutation, cost, metadata_json):
+        raise CorruptEntry("checksum mismatch")
+    if permutation.size != num_vertices:
+        raise CorruptEntry("wrong-sized permutation (stale entry)")
+    return Ordering(
+        scheme=scheme_name,
+        permutation=permutation,
+        cost=cost,
+        metadata=json.loads(metadata_json),
+    )
+
+
+class OrderingStore(ContentStore):
     """A content-addressed on-disk cache of :class:`Ordering` results."""
+
+    site = "ordering-store"
+    suffix = ".npz"
+    corruption_errors = ContentStore.corruption_errors + (zipfile.BadZipFile,)
 
     def __init__(self, root: str | None = None) -> None:
         if root is None:
-            root = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-        self.root = os.path.join(root, "orderings")
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
+            root = cache_root()
+        super().__init__(os.path.join(root, "orderings"))
 
-    # ------------------------------------------------------------------
-    # Keys and paths
-    # ------------------------------------------------------------------
     @staticmethod
     def entry_name(scheme: OrderingScheme) -> str:
         """File name (sans directory) for a scheme configuration."""
@@ -116,45 +151,6 @@ class OrderingStore:
             self.root, graph.content_hash(), self.entry_name(scheme)
         )
 
-    # ------------------------------------------------------------------
-    # Load / store
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _payload_digest(
-        permutation: np.ndarray, cost: int, metadata_json: str
-    ) -> str:
-        """sha256 over everything an entry stores (the write-time seal)."""
-        digest = hashlib.sha256()
-        digest.update(
-            f"fmt{_FORMAT_VERSION}:{int(cost)}:{metadata_json}:".encode()
-        )
-        digest.update(
-            np.ascontiguousarray(permutation, dtype=np.int64).tobytes()
-        )
-        return digest.hexdigest()
-
-    def _quarantine(self, path: str, reason: str) -> None:
-        """Move a damaged entry aside as ``<entry>.bad`` (never raises).
-
-        Quarantined files keep the evidence for post-mortems without
-        ever being picked up as cache entries again; the caller treats
-        the slot as a miss and recomputes.  Every quarantine — and every
-        failure to quarantine — increments a named degradation counter
-        (:mod:`repro.resilience.degrade`) instead of vanishing.
-        """
-        try:
-            os.replace(path, path + ".bad")
-            self.quarantined += 1
-        except OSError as exc:
-            # degrade: could not even move the damaged entry aside
-            degrade.record("ordering-store", "quarantine-failed", exc)
-            return
-        degrade.record(
-            "ordering-store",
-            "quarantined",
-            f"{os.path.basename(path)}: {reason}",
-        )
-
     def load(
         self, graph: CSRGraph, scheme: OrderingScheme
     ) -> Ordering | None:
@@ -164,47 +160,9 @@ class OrderingStore:
         stale schemas, wrong-sized permutations — are quarantined to
         ``<entry>.bad`` and reported as a miss; no exception escapes.
         """
-        path = self.entry_path(graph, scheme)
-        if os.path.isfile(path) and faults.maybe_store_torn_read(path):
-            # the deterministic stand-in for an mmap SIGBUS / torn page:
-            # route the entry through the same quarantine-and-rebuild
-            # path a genuinely damaged file takes
-            self._quarantine(path, "injected store-torn-read")
-            self.misses += 1
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as bundle:
-                if not _REQUIRED_FIELDS <= set(bundle.files):
-                    self._quarantine(path, "stale schema (missing fields)")
-                    self.misses += 1
-                    return None
-                if int(bundle["schema"]) != _FORMAT_VERSION:
-                    self._quarantine(path, "stale schema version")
-                    self.misses += 1
-                    return None
-                permutation = bundle["permutation"].astype(np.int64)
-                cost = int(bundle["cost"])
-                metadata_json = str(bundle["metadata"])
-                checksum = str(bundle["checksum"])
-        except _CORRUPTION_ERRORS:
-            if os.path.isfile(path):
-                self._quarantine(path, "unreadable entry")
-            self.misses += 1
-            return None
-        if checksum != self._payload_digest(permutation, cost, metadata_json):
-            self._quarantine(path, "checksum mismatch")
-            self.misses += 1
-            return None
-        if permutation.size != graph.num_vertices:
-            self._quarantine(path, "wrong-sized permutation (stale entry)")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return Ordering(
-            scheme=scheme.name,
-            permutation=permutation,
-            cost=cost,
-            metadata=json.loads(metadata_json),
+        return self._read(
+            self.entry_path(graph, scheme),
+            lambda path: _decode(path, scheme.name, graph.num_vertices),
         )
 
     def store(
@@ -212,62 +170,14 @@ class OrderingStore:
     ) -> str | None:
         """Persist ``ordering`` atomically; returns the entry path.
 
-        The entry carries its schema version and a sha256 over the full
-        payload so :meth:`load` can verify it byte-for-byte.  The
-        ``cache-corrupt`` injected fault tears the freshly written entry
-        here (a simulated torn write) to keep the recovery path tested.
-
-        A cache volume refusing the write (``ENOSPC``, read-only, …)
-        degrades to compute-without-cache: the error is counted and
-        warned once (:mod:`repro.resilience.degrade`), ``None`` is
-        returned, and the run continues.
+        A cache volume refusing the write degrades to
+        compute-without-cache and returns ``None``.
         """
-        path = self.entry_path(graph, scheme)
-        directory = os.path.dirname(path)
-        permutation = ordering.permutation.astype(np.int64)
-        metadata_json = json.dumps(ordering.metadata, sort_keys=True)
-        payload = io.BytesIO()
-        np.savez(
-            payload,
-            permutation=permutation,
-            cost=np.int64(ordering.cost),
-            metadata=metadata_json,
-            schema=np.int64(_FORMAT_VERSION),
-            checksum=self._payload_digest(
-                permutation, ordering.cost, metadata_json
-            ),
+        payload = _encode(ordering)
+        return self._write(
+            self.entry_path(graph, scheme),
+            lambda handle: handle.write(payload),
         )
-        tmp_path = None
-        try:
-            faults.maybe_disk_full(path)
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".npz"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload.getvalue())
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            self._discard_tmp(tmp_path)
-            # degrade: the run keeps the computed ordering in memory and
-            # simply loses the persistent layer for this entry
-            degrade.record("ordering-store.write", "disk-full", exc)
-            return None
-        except BaseException:
-            self._discard_tmp(tmp_path)
-            raise
-        faults.maybe_cache_corrupt(path)
-        return path
-
-    @staticmethod
-    def _discard_tmp(tmp_path: str | None) -> None:
-        """Best-effort scratch-file cleanup after a failed write."""
-        if tmp_path is None:
-            return
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass  # degrade: scratch file on a refusing volume; no route
 
     def get_or_compute(
         self, graph: CSRGraph, scheme: OrderingScheme
@@ -280,46 +190,6 @@ class OrderingStore:
         self.store(graph, scheme, ordering)
         return ordering
 
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for dirpath, _dirnames, filenames in os.walk(
-            self.root, topdown=False
-        ):
-            for name in filenames:
-                try:
-                    os.unlink(os.path.join(dirpath, name))
-                    removed += 1
-                except OSError:
-                    pass  # degrade: explicit maintenance; nothing to route
-            try:
-                os.rmdir(dirpath)
-            except OSError:
-                pass  # degrade: non-empty dir is fine during clear()
-        return removed
-
-    def entry_count(self) -> int:
-        """Number of persisted (live) entries."""
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(
-                1 for f in filenames
-                if f.endswith(".npz") and not f.startswith(".tmp-")
-            )
-        return count
-
-    def quarantined_count(self) -> int:
-        """Number of quarantined ``.bad`` files currently on disk."""
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(1 for f in filenames if f.endswith(".bad"))
-        return count
-
 
 def default_store() -> OrderingStore | None:
     """The process-wide store for the current environment, or ``None``.
@@ -330,12 +200,4 @@ def default_store() -> OrderingStore | None:
     """
     if not store_enabled():
         return None
-    root = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-    store = _STORES.get(root)
-    if store is None:
-        store = OrderingStore(root)
-        _STORES[root] = store
-    return store
-
-
-_STORES: dict[str, OrderingStore] = {}
+    return OrderingStore.shared(cache_root())

@@ -251,6 +251,11 @@ class TestEnvRead:
     def test_sanctioned_store_module_clean(self):
         assert not lint(self.SOURCE, module="repro.ordering.store")
 
+    def test_cache_root_resolved_only_in_the_content_store(self):
+        assert not lint(self.SOURCE, module="repro.resilience.store")
+        findings = lint(self.SOURCE, module="repro.resilience.journal")
+        assert rules_of(findings) == {"env-read"}
+
     def test_from_import_flagged(self):
         findings = lint(
             """

@@ -1,6 +1,10 @@
 """Tests for the bench fan-out pool, cache warming, and perf harness."""
 
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,42 @@ class TestMapCells:
 
     def test_empty_cells(self):
         assert map_cells(_double, [], jobs=4) == []
+
+    def test_workers_see_default_jobs_one(self):
+        saved = default_jobs()
+        try:
+            set_default_jobs(4)
+            assert map_cells(_default_jobs_cell, [0, 1], jobs=2) == [1, 1]
+        finally:
+            set_default_jobs(saved)
+
+
+def _default_jobs_cell(cell):
+    return default_jobs()
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _bench_stdout(args, cache_dir):
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_CACHE_DIR=str(cache_dir))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.bench", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return re.sub(r"\(\d+\.\d+s\)", "(Xs)", proc.stdout)
+
+
+def test_fig11_nested_fan_out_under_jobs(tmp_path):
+    """fig11 cells fan out RRR sampling; under ``--jobs 2`` they run in
+    daemonic pool workers, which must sample at width 1 instead of
+    failing every cell."""
+    argv = ["fig11", "--datasets", "livemocha"]
+    serial = _bench_stdout([*argv, "--jobs", "1"], tmp_path / "serial")
+    pooled = _bench_stdout([*argv, "--jobs", "2"], tmp_path / "pooled")
+    assert "livemocha" in serial
+    assert pooled == serial
 
 
 def _fail_on_three(cell):

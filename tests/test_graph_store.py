@@ -178,17 +178,6 @@ def test_store_dir_override(monkeypatch, tmp_path):
     assert store.root == str(tmp_path / "override")
 
 
-def test_clear_and_counts(store):
-    store.save("a", GRAPHS[1])
-    path = store.save("b", GRAPHS[2])
-    damage_magic(path)
-    store.load("b")
-    assert store.entry_count() == 1
-    assert store.quarantined_count() == 1
-    assert store.clear() == 2
-    assert store.entry_count() == 0
-
-
 # ---------------------------------------------------------------------------
 # Registry integration
 # ---------------------------------------------------------------------------

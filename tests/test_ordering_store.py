@@ -133,16 +133,6 @@ def test_wrong_sized_entry_rejected(store):
     assert ordering.permutation.size == 4
 
 
-def test_clear_removes_everything(store):
-    graph = make_grid(4, 4)
-    for name in ("rcm", "bfs", "natural"):
-        store.get_or_compute(graph, get_scheme(name))
-    assert store.entry_count() == 3
-    assert store.clear() == 3
-    assert store.entry_count() == 0
-    assert store.load(graph, get_scheme("rcm")) is None
-
-
 # ---------------------------------------------------------------------------
 # Environment wiring
 # ---------------------------------------------------------------------------
@@ -285,51 +275,3 @@ def test_quarantine_never_raises_and_counts(store):
     assert store.load(graph, scheme) is None  # no exception escapes
     assert store.quarantined_count() == 1
     assert store.entry_count() == 0  # the .bad file is not an entry
-
-
-# ---------------------------------------------------------------------------
-# Concurrent writers: N processes racing one entry
-# ---------------------------------------------------------------------------
-def _race_graph():
-    return random_graph(80, 220, seed=9)
-
-
-def _race_writer(root, barrier):
-    graph = _race_graph()
-    racing = OrderingStore(root)
-    barrier.wait()
-    ordering = racing.get_or_compute(graph, get_scheme("rcm"))
-    assert ordering.permutation.size == graph.num_vertices
-
-
-def test_concurrent_writers_one_valid_entry(tmp_path):
-    import multiprocessing
-
-    root = str(tmp_path / "race")
-    workers = 6
-    ctx = multiprocessing.get_context("fork")
-    barrier = ctx.Barrier(workers)
-    processes = [
-        ctx.Process(target=_race_writer, args=(root, barrier))
-        for _ in range(workers)
-    ]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join(timeout=120)
-        assert process.exitcode == 0
-    store = OrderingStore(root)
-    graph = _race_graph()
-    assert store.entry_count() == 1
-    assert store.quarantined_count() == 0
-    cached = store.load(graph, get_scheme("rcm"))
-    assert cached is not None
-    assert same_ordering(cached, get_scheme("rcm").order(graph))
-    # Atomic writes leave no temp droppings behind.
-    leftovers = [
-        name
-        for _dir, _subdirs, names in os.walk(root)
-        for name in names
-        if name.startswith(".tmp-")
-    ]
-    assert leftovers == []

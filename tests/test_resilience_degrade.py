@@ -16,7 +16,6 @@ import pytest
 from repro._native import core as native_core
 from repro._native import counting as native_counting
 from repro.graph import shm
-from repro.graph.store import GraphStore
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import degrade, faults
 from repro.resilience.journal import RunJournal
@@ -280,15 +279,6 @@ class TestResourcePressure:
         assert store.store(graph, scheme, ordering) is None
         assert degrade.counters()["ordering-store.write:disk-full"] >= 1
 
-    def test_graph_store_disk_full_returns_none(
-        self, monkeypatch, tmp_path
-    ):
-        graph = random_graph(30, 60, seed=1)
-        _set_faults(monkeypatch, "disk-full:p=1")
-        store = GraphStore(str(tmp_path / "graphs"))
-        assert store.save("entry", graph) is None
-        assert degrade.counters()["graph-store.write:disk-full"] == 1
-
     def test_journal_disk_full_never_crashes(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         _set_faults(monkeypatch, "disk-full:p=1")
@@ -310,17 +300,6 @@ class TestResourcePressure:
         assert np.array_equal(again.permutation, expected.permutation)
         assert store.quarantined >= 1
         assert degrade.counters()["ordering-store:quarantined"] >= 1
-
-    def test_graph_store_torn_read_quarantines(
-        self, monkeypatch, tmp_path
-    ):
-        graph = random_graph(30, 60, seed=4)
-        store = GraphStore(str(tmp_path / "graphs"))
-        assert store.save("entry", graph) is not None
-        _set_faults(monkeypatch, "store-torn-read:p=1")
-        assert store.load("entry") is None
-        assert store.quarantined == 1
-        assert degrade.counters()["graph-store:quarantined"] == 1
 
 
 # ---------------------------------------------------------------------------
