@@ -28,7 +28,9 @@ Kernels:
 * ``counting_sort`` — BOBA-style stable counting sort behind the
   degree-driven lightweight orderings (:mod:`.counting`);
 * ``parse_edges`` — sharded two-pass edge-list byte parser behind
-  :func:`repro.graph.io.read_edge_list` (:mod:`.parse`).
+  :func:`repro.graph.io.read_edge_list` (:mod:`.parse`);
+* ``louvain_sweep`` — one full greedy Louvain sweep, Grappolo's hot
+  routine, behind :mod:`repro.community.louvain` (:mod:`.louvain`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .core import (
     set_thread_cap,
     use_native_threads,
 )
-from . import counting, delta, fm, gorder, lru, parse, rrr  # noqa: F401  (register)
+from . import counting, delta, fm, gorder, louvain, lru, parse, rrr  # noqa: F401  (register)
 
 __all__ = [
     "NativeKernel",
@@ -68,6 +70,7 @@ __all__ = [
     "delta",
     "fm",
     "gorder",
+    "louvain",
     "lru",
     "parse",
     "rrr",

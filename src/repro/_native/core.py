@@ -496,12 +496,13 @@ class NativeKernel:
         if self._tried:
             return self._lib
         self._tried = True
+        # resolved before any gate or fallback guard: a malformed
+        # sanitizer knob must fail loudly, never silently run
+        # uninstrumented (nor pass unnoticed under REPRO_NO_NATIVE)
+        profile = sanitize_profile()
         if os.environ.get("REPRO_NO_NATIVE"):
             self._status = "disabled by REPRO_NO_NATIVE"
             return None
-        # resolved outside the fallback guard: a malformed sanitizer
-        # knob must fail loudly, never silently run uninstrumented
-        profile = sanitize_profile()
         try:
             self._lib = self._build(profile)
             self._status = "cached" if self._cache_hit else "compiled"

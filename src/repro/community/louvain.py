@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._native import louvain as _native_louvain
 from ..engine import resolve_engine
 from ..graph.builder import GraphBuilder
 from ..graph.csr import CSRGraph
@@ -102,7 +103,9 @@ class _LouvainState:
         self.total = graph.total_weight() + float(self_loops.sum())
         self.community = np.arange(n, dtype=np.int64)
         self.comm_tot = self.k.copy()
-        # Vector-engine scratch: adjacency as native lists, built lazily.
+        # Per-tier scratch, built lazily on the first sweep that needs
+        # it: kernel buffers (native) or adjacency as lists (vector).
+        self._scratch: _native_louvain.Scratch | None = None
         self._adj: list[list[int]] | None = None
         self._adj_w: list[list[float]] | None = None
 
@@ -111,16 +114,41 @@ class _LouvainState:
     ) -> tuple[int, int, int]:
         """One full vertex sweep; returns (moves, comms_scanned, edges).
 
-        The vector engine runs the same greedy on native Python containers
-        (one bulk CSR conversion, cached across sweeps); Python float and
-        numpy float64 arithmetic are the same IEEE operations, so moves,
-        gains, and community totals are bit-identical to the scalar loop.
+        Three bit-identical tiers run the same greedy:
+
+        * **native** — the ``louvain_sweep`` C kernel
+          (:mod:`repro._native.louvain`) runs the whole sweep and updates
+          ``community``/``comm_tot`` in place; when it is unavailable or
+          its breaker is open, the vector loop below runs instead;
+        * **vector** — the loop on native Python containers (one bulk
+          CSR conversion, cached across sweeps); Python float and numpy
+          float64 arithmetic are the same IEEE operations;
+        * **scalar** — :meth:`_sweep_scalar`, the per-edge numpy loop
+          and ground truth.
+
+        ``order`` must be a permutation of ``range(n)``.
         """
-        if resolve_engine() == "scalar":
+        engine = resolve_engine()
+        if engine == "scalar":
             return self._sweep_scalar(order)
         if self.total == 0:
             return 0, 0, 0
         graph = self.graph
+        if engine == "native":
+            if self._scratch is None:
+                self._scratch = _native_louvain.Scratch(
+                    graph.indptr, graph.indices, graph.weights
+                )
+            native = _native_louvain.run(
+                self._scratch,
+                self.k,
+                order,
+                self.total,
+                self.community,
+                self.comm_tot,
+            )
+            if native is not None:
+                return native
         n = graph.num_vertices
         if self._adj is None:
             indptr = graph.indptr.tolist()
@@ -308,6 +336,31 @@ def compact_graph(
     return builder.build(weighted=True), coarse_loops
 
 
+def _checked_order(vertex_order: np.ndarray, n: int) -> np.ndarray:
+    """``vertex_order`` as int64, or ValueError unless a permutation."""
+    order = np.asarray(vertex_order)
+    if order.ndim != 1 or order.size != n:
+        raise ValueError(
+            f"vertex_order must be a 1-D permutation of range({n}); "
+            f"got shape {order.shape}"
+        )
+    if n and not np.issubdtype(order.dtype, np.integer):
+        raise ValueError(
+            f"vertex_order must hold integer vertex ids; got {order.dtype}"
+        )
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    if n and (
+        order.min() < 0
+        or order.max() >= n
+        or np.bincount(order, minlength=n).max() != 1
+    ):
+        raise ValueError(
+            f"vertex_order must be a permutation of range({n}): "
+            "every vertex id exactly once"
+        )
+    return order
+
+
 def louvain_one_phase(
     graph: CSRGraph,
     *,
@@ -329,16 +382,21 @@ def louvain_one_phase(
     Returns
     -------
     (communities, stats) — ``communities`` uses dense ids.
+
+    Raises
+    ------
+    ValueError
+        If ``vertex_order`` is not a 1-D permutation of ``range(n)``.
     """
     n = graph.num_vertices
-    if self_loops is None:
-        self_loops = np.zeros(n, dtype=np.float64)
-    state = _LouvainState(graph, self_loops)
     order = (
         np.arange(n, dtype=np.int64)
         if vertex_order is None
-        else np.asarray(vertex_order, dtype=np.int64)
+        else _checked_order(vertex_order, n)
     )
+    if self_loops is None:
+        self_loops = np.zeros(n, dtype=np.float64)
+    state = _LouvainState(graph, self_loops)
     iterations: list[IterationStats] = []
     prev_q = (
         modularity_with_loops(graph, self_loops, state.community)

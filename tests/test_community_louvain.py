@@ -14,6 +14,7 @@ from repro.community import (
     weighted_degrees,
 )
 from repro.community.modularity import modularity_with_loops
+from repro.engine import ENGINES, use_engine
 from repro.graph import from_edges
 from repro.graph.generators import planted_partition
 from tests.conftest import make_clique, make_path, make_two_cliques
@@ -92,6 +93,45 @@ class TestLouvainOnePhase:
         g = from_edges(4, [])
         communities, stats = louvain_one_phase(g)
         assert sorted(communities) == [0, 1, 2, 3]
+
+
+class TestVertexOrderValidation:
+    """A malformed ``vertex_order`` is refused before any tier runs."""
+
+    BAD_ORDERS = {
+        "negative": [0, 1, 2, 3, 4, 5, 6, 7, 8, -1],
+        "too_large": [0, 1, 2, 3, 4, 5, 6, 7, 8, 10],
+        "duplicate": [0, 1, 2, 3, 4, 5, 6, 7, 8, 8],
+        "short": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        "two_dimensional": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]],
+        "fractional": [0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("kind", sorted(BAD_ORDERS))
+    def test_rejects_non_permutation(self, two_cliques, engine, kind):
+        order = np.asarray(self.BAD_ORDERS[kind])
+        with use_engine(engine):
+            with pytest.raises(ValueError, match="vertex_order"):
+                louvain_one_phase(two_cliques, vertex_order=order)
+            with pytest.raises(ValueError, match="vertex_order"):
+                louvain(two_cliques, vertex_order=order)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_accepts_permutation_list(self, two_cliques, engine):
+        order = [9, 3, 0, 7, 1, 8, 2, 6, 4, 5]
+        with use_engine(engine):
+            communities, _ = louvain_one_phase(
+                two_cliques, vertex_order=order
+            )
+        assert int(communities.max()) + 1 == 2
+
+    def test_empty_graph_accepts_empty_order(self):
+        communities, stats = louvain_one_phase(
+            from_edges(0, []), vertex_order=[]
+        )
+        assert communities.size == 0
+        assert stats.num_vertices == 0
 
 
 class TestCompaction:

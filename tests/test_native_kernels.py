@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro import _native
 from repro._native import core as native_core
 from repro.apps.delta_stepping import delta_stepping
+from repro.community.louvain import _LouvainState, louvain
 from repro.engine import strip_engine_metadata, use_engine
 from repro.graph import from_edges
 from repro.ordering import get_scheme
@@ -41,6 +42,7 @@ KERNEL_NAMES = (
     "rrr_sample",
     "counting_sort",
     "parse_edges",
+    "louvain_sweep",
 )
 
 #: kernels that fan work out over a pthread pool; each must declare a
@@ -240,6 +242,112 @@ def test_native_delta_stepping_weighted_random(n, edges, source):
     native = delta_stepping(graph, source % n, engine="native")
     scalar = delta_stepping(graph, source % n, engine="scalar")
     assert_same_sssp(native, scalar)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity: multi-phase Louvain through the louvain_sweep kernel
+# ---------------------------------------------------------------------------
+def louvain_with(graph, engine, order=None):
+    with use_engine(engine):
+        return louvain(graph, vertex_order=order)
+
+
+def assert_same_louvain(a, b):
+    assert np.array_equal(a.communities, b.communities)
+    assert a.modularity == b.modularity
+    # PhaseStats/IterationStats are frozen dataclasses: == compares
+    # moves, modularity, communities_scanned and edges_scanned exactly
+    # for every sweep of every phase.
+    assert a.phases == b.phases
+
+
+@pytest.mark.parametrize("shuffled", (False, True))
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_native_louvain_matches_twins(graph_name, shuffled):
+    graph = GRAPHS[graph_name]
+    order = (
+        np.random.default_rng(7).permutation(graph.num_vertices)
+        if shuffled
+        else None
+    )
+    native = louvain_with(graph, "native", order)
+    assert_same_louvain(native, louvain_with(graph, "scalar", order))
+    assert_same_louvain(native, louvain_with(graph, "vector", order))
+
+
+@given(
+    n=st.integers(2, 40),
+    edges=st.lists(
+        st.tuples(
+            st.integers(0, 39),
+            st.integers(0, 39),
+            st.floats(0.1, 4.0, allow_nan=False),
+        ),
+        min_size=0,
+        max_size=160,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_native_louvain_weighted_random_order(n, edges, seed):
+    pairs = [(u % n, v % n) for u, v, _w in edges]
+    weights = [round(w, 3) for _u, _v, w in edges]
+    graph = from_edges(n, pairs, weights=weights)
+    order = np.random.default_rng(seed).permutation(n)
+    native = louvain_with(graph, "native", order)
+    assert_same_louvain(native, louvain_with(graph, "scalar", order))
+    assert_same_louvain(native, louvain_with(graph, "vector", order))
+
+
+def test_native_louvain_sweep_skips_list_copies():
+    from repro._native import louvain as native_louvain
+
+    if native_louvain.KERNEL.lib() is None:
+        pytest.skip("louvain kernel unavailable")
+    graph = GRAPHS["random"]
+    order = np.arange(graph.num_vertices, dtype=np.int64)
+    loops = np.zeros(graph.num_vertices)
+    native = _LouvainState(graph, loops)
+    vector = _LouvainState(graph, loops)
+    with use_engine("native"):
+        stats = native.sweep(order)
+        scratch = native._scratch
+        assert native.sweep(order) is not None
+        assert native._scratch is scratch  # allocated once per level
+    with use_engine("vector"):
+        expected = vector.sweep(order)
+        vector.sweep(order)
+    assert stats == expected
+    assert native._adj is None and native._adj_w is None
+    assert np.array_equal(native.community, vector.community)
+    assert np.array_equal(native.comm_tot, vector.comm_tot)
+    assert not scratch.acc.any() and not scratch.seen.any()
+
+
+def test_native_louvain_refuses_mismatched_buffers():
+    from repro._native import louvain as native_louvain
+
+    graph = GRAPHS["random"]
+    n = graph.num_vertices
+    scratch = native_louvain.Scratch(
+        graph.indptr, graph.indices, graph.weights
+    )
+    k = np.ones(n)
+    order = np.arange(n, dtype=np.int64)
+    community = np.arange(n, dtype=np.int64)
+    comm_tot = np.ones(n)
+    bad = {
+        "short order": (k, order[:-1], community, comm_tot),
+        "int32 community": (k, order, community.astype(np.int32), comm_tot),
+        "strided comm_tot": (k, order, community, np.ones(2 * n)[::2]),
+        "short k": (k[:-1], order, community, comm_tot),
+    }
+    for name, (k_, order_, community_, comm_tot_) in bad.items():
+        result = native_louvain.run(
+            scratch, k_, order_, float(n), community_, comm_tot_
+        )
+        assert result is None, name
+    assert np.array_equal(community, np.arange(n))  # untouched
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +724,12 @@ BROKEN_SRC = (
 )
 
 
-def test_compile_failure_surfaces_stderr():
+def test_compile_failure_surfaces_stderr(monkeypatch):
     if native_core._compiler() is None:
         pytest.skip("no C compiler")
+    # the soft path below goes through lib(), which the no-native leg
+    # of `make bench-native` would otherwise short-circuit
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     kernel = native_core.NativeKernel(
         "test_broken_fixture",
         BROKEN_SRC,

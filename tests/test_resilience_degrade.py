@@ -15,6 +15,9 @@ import pytest
 
 from repro._native import core as native_core
 from repro._native import counting as native_counting
+from repro._native import louvain as native_louvain
+from repro.community import louvain
+from repro.engine import use_engine
 from repro.graph import shm
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import degrade, faults
@@ -52,6 +55,15 @@ def counting_kernel():
     the session.
     """
     kernel = native_counting.KERNEL
+    kernel.reset()
+    yield kernel
+    kernel.reset()
+
+
+@pytest.fixture
+def louvain_kernel():
+    """The real louvain_sweep kernel, reset before and after the test."""
+    kernel = native_louvain.KERNEL
     kernel.reset()
     yield kernel
     kernel.reset()
@@ -250,6 +262,69 @@ class TestKernelFaults:
         _set_faults(monkeypatch, "native-runtime-fault:p=1")
         assert not native_core.runtime_gate(counting_kernel)
         assert degrade.breaker_state(counting_kernel.name).state == "open"
+
+
+class TestLouvainKernelFaults:
+    """A faulted ``louvain_sweep`` kernel hands the sweep to the vector tier."""
+
+    GRAPH = random_graph(80, 300, seed=13)
+
+    def _vector_result(self):
+        with use_engine("vector"):
+            return louvain(self.GRAPH)
+
+    def _assert_same(self, a, b):
+        assert np.array_equal(a.communities, b.communities)
+        assert a.modularity == b.modularity
+        assert a.phases == b.phases
+
+    def test_runtime_fault_falls_back_to_vector(
+        self, monkeypatch, louvain_kernel
+    ):
+        if louvain_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        expected = self._vector_result()
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        with use_engine("native"):
+            result = louvain(self.GRAPH)
+        self._assert_same(result, expected)
+        assert degrade.breaker_state(louvain_kernel.name).state == "open"
+        assert (
+            degrade.counters()["kernel.louvain_sweep:native-runtime-fault"]
+            >= 1
+        )
+
+    def test_build_fail_falls_back_to_vector(
+        self, monkeypatch, louvain_kernel
+    ):
+        expected = self._vector_result()
+        # latch the other kernels' builds first, so the injected build
+        # failure cannot leave them unavailable for later tests
+        for name in native_core.kernel_names():
+            if name != louvain_kernel.name:
+                native_core.get_kernel(name).lib()
+        _set_faults(monkeypatch, "native-build-fail:p=1")
+        with use_engine("native"):
+            result = louvain(self.GRAPH)
+        self._assert_same(result, expected)
+        breaker = degrade.breaker_state(louvain_kernel.name)
+        assert breaker.state == "open"
+        assert breaker.kind == "native-build-fail"
+        assert (
+            degrade.counters()["kernel.louvain_sweep:native-build-fail"]
+            == 1
+        )
+
+    def test_strict_mode_raises(self, monkeypatch, louvain_kernel):
+        if louvain_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        monkeypatch.setenv(degrade.ENV_DEGRADE, "strict")
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        with use_engine("native"):
+            with pytest.raises(
+                degrade.DegradationError, match="louvain_sweep"
+            ):
+                louvain(self.GRAPH)
 
 
 # ---------------------------------------------------------------------------
