@@ -30,7 +30,10 @@ Kernels:
 * ``parse_edges`` — sharded two-pass edge-list byte parser behind
   :func:`repro.graph.io.read_edge_list` (:mod:`.parse`);
 * ``louvain_sweep`` — one full greedy Louvain sweep, Grappolo's hot
-  routine, behind :mod:`repro.community.louvain` (:mod:`.louvain`).
+  routine, behind :mod:`repro.community.louvain` (:mod:`.louvain`);
+* ``region_replay`` — one whole simulated parallel region, schedule and
+  per-access L1 → L2 → L3 walk, behind
+  :class:`repro.simulator.parallel.SimulatedMachine` (:mod:`.replay`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ from .core import (
     set_thread_cap,
     use_native_threads,
 )
-from . import counting, delta, fm, gorder, louvain, lru, parse, rrr  # noqa: F401  (register)
+from . import (  # noqa: F401  (register)
+    counting, delta, fm, gorder, louvain, lru, parse, replay, rrr,
+)
 
 __all__ = [
     "NativeKernel",
@@ -73,5 +78,6 @@ __all__ = [
     "louvain",
     "lru",
     "parse",
+    "replay",
     "rrr",
 ]

@@ -67,6 +67,7 @@ __all__ = [
     "discover_kernels",
     "scan_kernel_source",
     "check_native_sources",
+    "native_sources",
     "NATIVE_ROOT",
 ]
 
@@ -903,6 +904,26 @@ def _registry_findings(
     return findings
 
 
+def _scanned(
+    kernels: list[CKernelSource], real_tree: bool, repo_root: Path | None
+) -> list[CKernelSource]:
+    """The sources the lint scans: kernels with a resolved source, plus
+    the thread-pool helper when scanning the real tree."""
+    if real_tree:
+        helper = _helper_source(repo_root)
+        if helper is not None:
+            kernels = [*kernels, helper]
+    return [kernel for kernel in kernels if kernel.source]
+
+
+def native_sources(
+    native_root: Path | None = None, *, repo_root: Path | None = None
+) -> list[CKernelSource]:
+    """Every C source :func:`check_native_sources` lints."""
+    kernels = discover_kernels(native_root, repo_root=repo_root)
+    return _scanned(kernels, native_root is None, repo_root)
+
+
 def check_native_sources(
     native_root: Path | None = None,
     *,
@@ -929,14 +950,7 @@ def check_native_sources(
     if registered is not None:
         findings.extend(_registry_findings(kernels, registered))
 
-    if scanning_real_tree:
-        helper = _helper_source(repo_root)
-        if helper is not None:
-            kernels = [*kernels, helper]
-
-    for kernel in kernels:
-        if not kernel.source:
-            continue
+    for kernel in _scanned(kernels, scanning_real_tree, repo_root):
         findings.extend(
             scan_kernel_source(
                 kernel.name,

@@ -244,7 +244,6 @@ def _run_colored(
     total_loads = [0] * num_threads
     makespan_sum = 0
     loads = 0
-    latency_sum = 0.0
     level_cycles = [0, 0, 0, 0]
     total_all = 0
     memory_all = 0
@@ -258,11 +257,10 @@ def _run_colored(
             total_cycles[t] += region.thread_cycles[t]
             total_loads[t] += region.thread_loads[t]
         loads += region.report.loads
-        latency_sum += (
-            region.report.average_latency * region.report.loads
-        )
+        # bound[i] is level_cycles[i] / total_cycles: rounding the
+        # product recovers the integer exactly (truncating it does not)
         for i in range(4):
-            level_cycles[i] += int(
+            level_cycles[i] += round(
                 region.report.bound[i] * region.report.total_cycles
             )
         total_all += region.report.total_cycles
@@ -270,9 +268,11 @@ def _run_colored(
     bound = tuple(
         (c / total_all if total_all else 0.0) for c in level_cycles
     )
+    # every load's latency is a memory cycle, so memory / loads is the
+    # average latency, without summing float products
     report = CounterReport(
         loads=loads,
-        average_latency=(latency_sum / loads if loads else 0.0),
+        average_latency=(memory_all / loads if loads else 0.0),
         bound=bound,  # type: ignore[arg-type]
         total_cycles=total_all,
         memory_cycles=memory_all,

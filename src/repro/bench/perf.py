@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -84,7 +85,13 @@ from ..ordering import PAPER_SCHEMES
 from ..ordering.base import Ordering, get_scheme
 from ..ordering.store import OrderingStore
 from ..resilience.journal import RunJournal, cell_key
-from ..simulator import hit_ratio_curve, lru_stack_distances
+from ..simulator import (
+    MemoryHierarchy,
+    ThreadCounters,
+    hit_ratio_curve,
+    lru_stack_distances,
+    run_exact_region,
+)
 from ..simulator.parallel import (
     ExecutionResult,
     SimulatedMachine,
@@ -758,6 +765,15 @@ def check_apps(
     return failures
 
 
+def _exact_region(
+    num_threads: int, per_thread: list[list]
+) -> tuple[list[int], ThreadCounters]:
+    """A static region through the batched engine: cycles and counters."""
+    hierarchy = MemoryHierarchy(num_threads)
+    cycles, _ = run_exact_region(hierarchy, per_thread)
+    return cycles, hierarchy.merged_counters()
+
+
 def measure_threads(
     dataset: str = "orkut",
     *,
@@ -772,7 +788,10 @@ def measure_threads(
 
     Four workloads, each run end-to-end through its public entry point
     (so dispatch and marshalling overhead is charged honestly): the
-    batched LRU replay of the kernel-sweep trace, batched hash-pinned
+    batched LRU replay of the kernel-sweep trace (through
+    :func:`~repro.simulator.batch.run_exact_region`, which drives
+    ``lru_replay``; ``SimulatedMachine.run`` would take the serial
+    ``region_replay`` kernel instead), batched hash-pinned
     RRR sampling, delta-stepping SSSP, and the Hub Sort ordering whose
     stable sort runs the counting kernel.  Every thread count must
     reproduce the single-thread result bit-for-bit — that contract is
@@ -784,7 +803,6 @@ def measure_threads(
     items = _sweep_items(graph)
     schedule = static_block_schedule(len(items), num_threads)
     per_thread = [[items[i] for i in idx] for idx in schedule]
-    machine = SimulatedMachine(num_threads)
     original_of = np.arange(n, dtype=np.int64)
     roots = np.random.default_rng(seed).integers(
         n, size=num_samples
@@ -794,8 +812,8 @@ def measure_threads(
 
     workload_fns: dict[str, tuple[Callable[[], object], Callable]] = {
         "lru_replay": (
-            lambda: machine.run(per_thread),
-            _replay_identical,
+            lambda: _exact_region(num_threads, per_thread),
+            operator.eq,
         ),
         "rrr_sampling": (
             lambda: sample_rrr_ic_pinned_batch(

@@ -107,28 +107,19 @@ def apply_ordering(graph: CSRGraph, pi: np.ndarray) -> CSRGraph:
     n = graph.num_vertices
     inv = invert_ordering(pi)
 
-    old_degrees = graph.degrees()
-    new_degrees = old_degrees[inv]
+    new_degrees = graph.degrees()[inv]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(new_degrees, out=indptr[1:])
 
-    indices = np.empty(graph.num_directed_edges, dtype=np.int64)
-    weights = (
-        np.empty(graph.num_directed_edges, dtype=np.float64)
-        if graph.is_weighted
-        else None
-    )
-    old_indptr = graph.indptr
-    old_indices = graph.indices
-    old_weights = graph.weights
-    for new_id in range(n):
-        old_id = inv[new_id]
-        start, end = old_indptr[old_id], old_indptr[old_id + 1]
-        nbrs = pi[old_indices[start:end]]
-        order = np.argsort(nbrs, kind="stable")
-        dst_start = indptr[new_id]
-        dst_end = indptr[new_id + 1]
-        indices[dst_start:dst_end] = nbrs[order]
-        if weights is not None:
-            weights[dst_start:dst_end] = old_weights[start:end][order]
+    # Old edge slot of every new slot, rows gathered in rank order; one
+    # stable lexsort then orders each row by new label (equal labels
+    # keep their old order, and the weights follow the same gather).
+    new_rows = np.repeat(np.arange(n, dtype=np.int64), new_degrees)
+    src = np.arange(graph.num_directed_edges, dtype=np.int64) + (
+        graph.indptr[inv] - indptr[:-1]
+    )[new_rows]
+    labels = pi[graph.indices[src]]
+    order = np.lexsort((labels, new_rows))
+    indices = labels[order]
+    weights = None if graph.weights is None else graph.weights[src[order]]
     return CSRGraph(indptr, indices, weights)

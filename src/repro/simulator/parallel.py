@@ -20,13 +20,16 @@ item issues plus the cycles it burns in the core.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .._native import replay as native_replay
+from .batch import run_exact_region
 from .counters import CounterReport, report_from_counters
-from .hierarchy import HierarchyConfig, MemoryHierarchy
+from .hierarchy import HierarchyConfig, MemoryHierarchy, ThreadCounters
 
 __all__ = [
     "WorkItem",
@@ -124,17 +127,42 @@ class SimulatedMachine:
 
         Threads advance round-robin one item at a time, so L3 accesses of
         different threads interleave — the shared-cache contention model.
-        Replayed by the exact batched engine (bit-identical to
-        :meth:`run_reference`, which keeps the per-access loop for
-        verification); the next-line prefetcher forces the scalar path
-        because its installs couple neighbouring accesses.
+        Three bit-identical tiers replay the region:
+
+        * **native** — the ``region_replay`` kernel
+          (:mod:`repro._native.replay`) replays the whole region in one
+          call, handed the items in round-robin issue order with an owner
+          thread each;
+        * **vector** — the exact batched engine
+          (:func:`repro.simulator.batch.run_exact_region`), when the
+          kernel is unavailable, its breaker is open, or it declines
+          (negative line numbers);
+        * **scalar** — :meth:`run_reference`, the per-access loop kept
+          for verification, and the path the next-line prefetcher forces
+          because its installs couple neighbouring accesses.
         """
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
         if self.config.prefetch_next_line:
             return self.run_reference(per_thread_items)
-        from .batch import run_exact_region
-
+        # one-shot iterables are read once, here, for every tier
+        per_thread_items = [list(items) for items in per_thread_items]
+        counts = np.array(
+            [len(items) for items in per_thread_items], dtype=np.int64
+        )
+        owner = np.repeat(np.arange(self.num_threads), counts)
+        rounds = np.arange(owner.size) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        # round r issues one item per thread still holding one, in
+        # ascending thread order: run_reference's interleaving
+        issue = np.lexsort((owner, rounds))
+        flat = list(itertools.chain.from_iterable(per_thread_items))
+        native = self._replay_native(
+            [flat[i] for i in issue.tolist()], owner=owner[issue]
+        )
+        if native is not None:
+            return native
         hierarchy = MemoryHierarchy(self.num_threads, self.config)
         cycles, compute = run_exact_region(hierarchy, per_thread_items)
         merged = hierarchy.merged_counters()
@@ -144,6 +172,42 @@ class SimulatedMachine:
             thread_cycles=tuple(cycles),
             thread_loads=tuple(c.loads for c in hierarchy.counters),
             report=report,
+        )
+
+    def _replay_native(
+        self,
+        items: Sequence[WorkItem],
+        *,
+        owner: np.ndarray | None = None,
+        chunk: int = 1,
+    ) -> ExecutionResult | None:
+        """The region through the ``region_replay`` kernel, or None.
+
+        Level cycles are ``level_loads * latency`` in int64, exactly the
+        per-load sums the Python tiers accumulate.
+        """
+        replay = native_replay.run(
+            self.config, self.num_threads, items, owner=owner, chunk=chunk
+        )
+        if replay is None:
+            return None
+        clocks, level_loads, compute = replay
+        latency = np.array(
+            [self.config.latency_of(level) for level in range(4)],
+            dtype=np.int64,
+        )
+        level_cycles = level_loads * latency
+        merged = ThreadCounters(
+            loads=int(level_loads.sum()),
+            total_latency=int(level_cycles.sum()),
+            level_cycles=level_cycles.sum(axis=0).tolist(),
+            level_loads=level_loads.sum(axis=0).tolist(),
+        )
+        return ExecutionResult(
+            num_threads=self.num_threads,
+            thread_cycles=tuple(clocks.tolist()),
+            thread_loads=tuple(level_loads.sum(axis=1).tolist()),
+            report=report_from_counters(merged, compute),
         )
 
     def run_reference(
@@ -196,10 +260,22 @@ class SimulatedMachine:
         """Execute with dynamic chunk scheduling (OpenMP ``dynamic``).
 
         Chunks are handed to the thread with the lowest simulated clock,
-        which models work stealing's load-balancing effect.
+        which models work stealing's load-balancing effect.  Two
+        bit-identical tiers replay the region:
+
+        * **native** — the ``region_replay`` kernel
+          (:mod:`repro._native.replay`) runs the schedule and the
+          per-access walk in one call;
+        * **vector** — the loop below, when the kernel is unavailable,
+          its breaker is open, or it declines (negative line numbers, the
+          next-line prefetcher): the schedule in Python, each item
+          replayed by :meth:`MemoryHierarchy.access_batch`.
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")
+        native = self._replay_native(items, chunk=chunk)
+        if native is not None:
+            return native
         hierarchy = MemoryHierarchy(self.num_threads, self.config)
         latency = np.array(
             [self.config.latency_of(level) for level in range(4)],

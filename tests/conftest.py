@@ -103,6 +103,28 @@ def random_graph(n: int, m: int, seed: int = 0) -> CSRGraph:
     return from_edges(n, np.column_stack((src, dst)))
 
 
+def dynamic_reference(num_threads, items, *, chunk, config=None):
+    """Per-access oracle of ``SimulatedMachine.run_dynamic``.
+
+    Chunks of ``chunk`` items go to the first thread with the lowest
+    clock and every load walks :meth:`MemoryHierarchy.access`.  Returns
+    ``(clocks, hierarchy, compute)``: per-thread busy cycles, the
+    hierarchy with its integer counters, and the summed compute cycles.
+    """
+    from repro.simulator import MemoryHierarchy
+
+    hierarchy = MemoryHierarchy(num_threads, config)
+    clocks = [0] * num_threads
+    for pos in range(0, len(items), chunk):
+        t = min(range(num_threads), key=lambda x: clocks[x])
+        for item in items[pos: pos + chunk]:
+            for line in item.lines:
+                level = hierarchy.access(t, int(line))
+                clocks[t] += hierarchy.config.latency_of(level)
+            clocks[t] += item.compute_cycles
+    return clocks, hierarchy, sum(item.compute_cycles for item in items)
+
+
 @pytest.fixture
 def path7() -> CSRGraph:
     return make_path(7)

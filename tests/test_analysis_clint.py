@@ -26,6 +26,7 @@ from repro.analysis.clint import (
     c_rule_help,
     check_native_sources,
     discover_kernels,
+    native_sources,
     scan_kernel_source,
 )
 from repro.analysis.core import baseline_entries, split_by_baseline
@@ -349,6 +350,19 @@ def test_real_tree_is_clean():
     """The shipped kernels carry no unbaselined C finding (the --clint
     gate); any suppression in the tree must be inline and justified."""
     assert check_native_sources() == []
+
+
+def test_clint_summary_counts_kernel_sources(capsys):
+    from repro.analysis.__main__ import main
+
+    sources = native_sources()
+    # every kernel construction plus the thread-pool helper
+    assert len(sources) == len(discover_kernels()) + 1
+    assert {"region_replay", "thread_pool_helper"} <= {
+        source.name for source in sources
+    }
+    assert main(["--clint"]) == 0
+    assert f"across {len(sources)} file(s)" in capsys.readouterr().out
 
 
 def test_discovery_matches_the_runtime_registry():

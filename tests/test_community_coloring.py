@@ -11,7 +11,13 @@ from repro.community import (
     is_valid_coloring,
 )
 from repro.graph import from_edges
-from tests.conftest import make_clique, make_cycle, make_path, random_graph
+from tests.conftest import (
+    dynamic_reference,
+    make_clique,
+    make_cycle,
+    make_path,
+    random_graph,
+)
 
 
 class TestGreedyColoring:
@@ -100,6 +106,34 @@ class TestColoredSchedule:
         # colored execution pays barrier costs: never faster than block
         assert colored.iteration_seconds >= block.iteration_seconds * 0.9
         assert colored.counters.loads == block.counters.loads
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_colored_counters_are_exact(self, seed):
+        """The aggregated report equals one built from the exact
+        per-region integer counters (no float round-trip drift)."""
+        from repro.apps import run_community_detection
+        from repro.apps.community_detection import build_sweep_items
+        from repro.graph import apply_ordering
+        from repro.graph.generators import planted_partition
+        from repro.ordering import get_scheme
+        from repro.simulator import ThreadCounters, report_from_counters
+
+        g = planted_partition(5, 12, p_in=0.4, p_out=0.03, seed=seed)
+        ordering = get_scheme("rcm").order(g)
+        colored = run_community_detection(
+            g, ordering, num_threads=3, schedule="colored"
+        )
+        relabelled = apply_ordering(g, ordering.permutation)
+        items = build_sweep_items(relabelled)
+        merged = ThreadCounters()
+        compute = 0
+        for batch in color_classes(greedy_coloring(relabelled)):
+            _, hierarchy, region_compute = dynamic_reference(
+                3, [items[int(v)] for v in batch], chunk=8
+            )
+            merged.merge(hierarchy.merged_counters())
+            compute += region_compute
+        assert colored.counters == report_from_counters(merged, compute)
 
     def test_invalid_schedule_rejected(self, two_cliques):
         from repro.apps import run_community_detection

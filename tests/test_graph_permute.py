@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
+    CSRGraph,
     apply_ordering,
     compose_orderings,
     from_edges,
@@ -117,3 +118,95 @@ class TestApplyOrderingProperties:
         pi = np.asarray(perm)
         h = apply_ordering(apply_ordering(g, pi), invert_ordering(pi))
         assert h == g
+
+
+def apply_ordering_loop(graph, pi):
+    """Oracle: the per-row relabelling loop, one stable argsort per row."""
+    pi = validate_ordering(pi, graph.num_vertices)
+    n = graph.num_vertices
+    inv = invert_ordering(pi)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(graph.degrees()[inv], out=indptr[1:])
+    indices = np.empty(graph.num_directed_edges, dtype=np.int64)
+    weights = (
+        np.empty(graph.num_directed_edges, dtype=np.float64)
+        if graph.is_weighted
+        else None
+    )
+    for new_id in range(n):
+        old_id = inv[new_id]
+        start, end = graph.indptr[old_id], graph.indptr[old_id + 1]
+        nbrs = pi[graph.indices[start:end]]
+        order = np.argsort(nbrs, kind="stable")
+        indices[indptr[new_id]:indptr[new_id + 1]] = nbrs[order]
+        if weights is not None:
+            weights[indptr[new_id]:indptr[new_id + 1]] = (
+                graph.weights[start:end][order]
+            )
+    return CSRGraph(indptr, indices, weights)
+
+
+def assert_same_csr(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    if b.weights is None:
+        assert a.weights is None
+    else:
+        assert np.array_equal(a.weights, b.weights)
+
+
+@st.composite
+def csr_graphs(draw):
+    """Raw CSR graphs, possibly weighted, with repeated neighbours.
+
+    Rows are unsorted and may repeat a neighbour with different weights,
+    so the test sees whether equal labels keep their order.
+    """
+    n = draw(st.integers(1, 14))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=8),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.asarray([v for r in rows for v in r], dtype=np.int64)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.asarray(
+            draw(
+                st.lists(
+                    st.floats(-4.0, 4.0, allow_nan=False),
+                    min_size=indices.size,
+                    max_size=indices.size,
+                )
+            ),
+            dtype=np.float64,
+        )
+    return CSRGraph(indptr, indices, weights)
+
+
+class TestApplyOrderingMatchesLoop:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_raw_csr(self, data):
+        g = data.draw(csr_graphs(), label="graph")
+        pi = np.asarray(
+            data.draw(st.permutations(list(range(g.num_vertices))))
+        )
+        assert_same_csr(apply_ordering(g, pi), apply_ordering_loop(g, pi))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_random_graphs(self, weighted, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(40, 120, seed=seed % 97)
+        if weighted:
+            g = CSRGraph(
+                g.indptr, g.indices, rng.uniform(0.5, 2.0, g.indices.size)
+            )
+        pi = rng.permutation(g.num_vertices)
+        assert_same_csr(apply_ordering(g, pi), apply_ordering_loop(g, pi))

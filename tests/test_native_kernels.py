@@ -32,6 +32,8 @@ from repro.community.louvain import _LouvainState, louvain
 from repro.engine import strip_engine_metadata, use_engine
 from repro.graph import from_edges
 from repro.ordering import get_scheme
+from repro.simulator import HierarchyConfig
+from repro.simulator.parallel import SimulatedMachine, WorkItem
 from tests.conftest import make_grid, make_two_cliques, random_graph
 
 KERNEL_NAMES = (
@@ -43,6 +45,7 @@ KERNEL_NAMES = (
     "counting_sort",
     "parse_edges",
     "louvain_sweep",
+    "region_replay",
 )
 
 #: kernels that fan work out over a pthread pool; each must declare a
@@ -370,6 +373,79 @@ def test_lru_kernel_matches_python_walk(monkeypatch):
     monkeypatch.setattr(sim_native, "_tried", True)
     without_kernel = run()
     assert np.array_equal(with_kernel, without_kernel)
+
+
+# ---------------------------------------------------------------------------
+# Region replay: one simulated parallel region per kernel call
+# ---------------------------------------------------------------------------
+def region_items(seed, num_items=50):
+    rng = np.random.default_rng(seed)
+    return [
+        WorkItem(
+            lines=rng.integers(0, 1500, size=int(rng.integers(0, 1300))),
+            compute_cycles=int(rng.integers(0, 3)),
+        )
+        for _ in range(num_items)
+    ]
+
+
+def region_outcome(result):
+    return result.thread_cycles, result.thread_loads, result.report
+
+
+REGION_CONFIGS = {
+    "default": HierarchyConfig(),
+    "small": HierarchyConfig.for_scale(0.05),
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(REGION_CONFIGS))
+@pytest.mark.parametrize("threads", (1, 3, 8))
+def test_region_replay_matches_twins(monkeypatch, config_name, threads):
+    from repro._native import replay as native_replay
+
+    config = REGION_CONFIGS[config_name]
+    items = region_items(threads)
+    per_thread = [items[t::threads] for t in range(threads)]
+    machine = SimulatedMachine(threads, config)
+    native_static = region_outcome(machine.run(per_thread))
+    native_dynamic = region_outcome(machine.run_dynamic(items, chunk=3))
+    assert native_static == region_outcome(machine.run_reference(per_thread))
+    monkeypatch.setattr(native_replay.KERNEL, "_lib", None)
+    monkeypatch.setattr(native_replay.KERNEL, "_tried", True)
+    assert native_static == region_outcome(machine.run(per_thread))
+    assert native_dynamic == region_outcome(
+        machine.run_dynamic(items, chunk=3)
+    )
+
+
+def test_region_replay_declines_bad_input():
+    from repro._native import replay as native_replay
+
+    if native_replay.KERNEL.lib() is None:
+        pytest.skip("region_replay kernel unavailable")
+    config = HierarchyConfig()
+    items = region_items(5, num_items=6)
+    owner = np.zeros(len(items), dtype=np.int64)
+    assert native_replay.run(config, 2, items, owner=owner) is not None
+    bad = {
+        "no threads": (0, items, owner),
+        "owner out of range": (2, items, owner + 2),
+        "negative owner": (2, items, owner - 1),
+        "short owner": (2, items, owner[:-1]),
+        "negative line": (
+            2, [*items, WorkItem(lines=np.array([3, -1]))], None
+        ),
+        "float compute": (
+            2, [*items, WorkItem(lines=np.array([3]), compute_cycles=0.5)],
+            None,
+        ),
+    }
+    for name, (threads, items_, owner_) in bad.items():
+        result = native_replay.run(config, threads, items_, owner=owner_)
+        assert result is None, name
+    prefetch = HierarchyConfig(prefetch_next_line=True)
+    assert native_replay.run(prefetch, 2, items) is None
 
 
 # ---------------------------------------------------------------------------

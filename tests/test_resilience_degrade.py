@@ -16,12 +16,14 @@ import pytest
 from repro._native import core as native_core
 from repro._native import counting as native_counting
 from repro._native import louvain as native_louvain
+from repro._native import replay as native_replay
 from repro.community import louvain
 from repro.engine import use_engine
 from repro.graph import shm
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import degrade, faults
 from repro.resilience.journal import RunJournal
+from repro.simulator.parallel import SimulatedMachine, WorkItem
 from tests.conftest import random_graph
 
 
@@ -325,6 +327,90 @@ class TestLouvainKernelFaults:
                 degrade.DegradationError, match="louvain_sweep"
             ):
                 louvain(self.GRAPH)
+
+
+@pytest.fixture
+def replay_kernel():
+    """The real region_replay kernel, reset before and after the test."""
+    kernel = native_replay.KERNEL
+    kernel.reset()
+    yield kernel
+    kernel.reset()
+
+
+class TestRegionReplayKernelFaults:
+    """A faulted ``region_replay`` kernel hands regions to the Python tiers."""
+
+    THREADS = 3
+
+    def _items(self):
+        rng = np.random.default_rng(21)
+        return [
+            WorkItem(
+                lines=rng.integers(0, 900, size=int(rng.integers(1, 1400))),
+                compute_cycles=int(rng.integers(0, 30)),
+            )
+            for _ in range(24)
+        ]
+
+    def _outcomes(self):
+        """(static, dynamic) region results, as tuples of their parts."""
+        machine = SimulatedMachine(self.THREADS)
+        items = self._items()
+        per_thread = [items[t::self.THREADS] for t in range(self.THREADS)]
+        static = machine.run(per_thread)
+        dynamic = machine.run_dynamic(items, chunk=2)
+        return tuple(
+            (r.thread_cycles, r.thread_loads, r.report)
+            for r in (static, dynamic)
+        )
+
+    def _python_outcomes(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(native_replay.KERNEL, "_tried", True)
+            mp.setattr(native_replay.KERNEL, "_lib", None)
+            return self._outcomes()
+
+    def test_runtime_fault_falls_back_to_python(
+        self, monkeypatch, replay_kernel
+    ):
+        if replay_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        expected = self._python_outcomes(monkeypatch)
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        assert self._outcomes() == expected
+        assert degrade.breaker_state(replay_kernel.name).state == "open"
+        assert (
+            degrade.counters()["kernel.region_replay:native-runtime-fault"]
+            >= 1
+        )
+
+    def test_build_fail_falls_back_to_python(
+        self, monkeypatch, replay_kernel
+    ):
+        expected = self._python_outcomes(monkeypatch)
+        # latch the other kernels' builds first, so the injected build
+        # failure cannot leave them unavailable for later tests
+        for name in native_core.kernel_names():
+            if name != replay_kernel.name:
+                native_core.get_kernel(name).lib()
+        _set_faults(monkeypatch, "native-build-fail:p=1")
+        assert self._outcomes() == expected
+        breaker = degrade.breaker_state(replay_kernel.name)
+        assert breaker.state == "open"
+        assert breaker.kind == "native-build-fail"
+        assert (
+            degrade.counters()["kernel.region_replay:native-build-fail"]
+            == 1
+        )
+
+    def test_strict_mode_raises(self, monkeypatch, replay_kernel):
+        if replay_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        monkeypatch.setenv(degrade.ENV_DEGRADE, "strict")
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        with pytest.raises(degrade.DegradationError, match="region_replay"):
+            SimulatedMachine(2).run_dynamic(self._items())
 
 
 # ---------------------------------------------------------------------------

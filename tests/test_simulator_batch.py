@@ -8,11 +8,15 @@ fallback.  The reuse-distance engine must agree with brute force and
 with an actual fully-associative cache.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._native import replay as native_replay
+from repro.analysis import sanitize
 from repro.simulator import (
     Cache,
     CacheConfig,
@@ -23,6 +27,7 @@ from repro.simulator import (
     hit_ratio_curve,
     lru_stack_distances,
     miss_ratio_curve,
+    report_from_counters,
 )
 from repro.simulator import _native, batch
 from repro.simulator.parallel import (
@@ -30,6 +35,7 @@ from repro.simulator.parallel import (
     WorkItem,
     static_block_schedule,
 )
+from tests.conftest import dynamic_reference
 
 GEOMETRIES = [
     CacheConfig(1 * 64, 64, 1),     # one set, one way
@@ -61,11 +67,19 @@ def assert_same_state(a, b):
     assert a.writebacks == b.writebacks
 
 
+def disable_native(monkeypatch):
+    """Turn off the LRU and region-replay kernels for ``monkeypatch``'s
+    lifetime, so every replay runs the pure-Python engine."""
+    monkeypatch.setattr(_native, "_tried", True)
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(native_replay.KERNEL, "_tried", True)
+    monkeypatch.setattr(native_replay.KERNEL, "_lib", None)
+
+
 @pytest.fixture
 def python_fallback(monkeypatch):
     """Force the pure-Python replay path regardless of the toolchain."""
-    monkeypatch.setattr(_native, "_tried", True)
-    monkeypatch.setattr(_native, "_lib", None)
+    disable_native(monkeypatch)
 
 
 class TestCacheAccessBatch:
@@ -222,6 +236,173 @@ class TestRunExactRegion:
         batched = machine.run(per_thread)
         reference = machine.run_reference(per_thread)
         assert batched.thread_cycles == reference.thread_cycles
+
+
+#: tiny geometry: 2-set L1, 4-set L2, 8-set L3, so every level evicts.
+TINY = HierarchyConfig(
+    l1=CacheConfig(2 * 64, 64, 1),
+    l2=CacheConfig(8 * 64, 64, 2),
+    l3=CacheConfig(16 * 64, 64, 2),
+)
+
+
+@st.composite
+def work_items(draw, *, negative):
+    """Items with empty, short and above-``SCALAR_CUTOFF`` line streams.
+
+    Compute cycles are mostly 0 or 1, so clocks tie often and the
+    lowest-thread-id tie-break is exercised.  With ``negative`` some
+    lines are negative, which the kernel must decline.
+    """
+    low = -40 if negative else 0
+    items = []
+    for _ in range(draw(st.integers(0, 14), label="num_items")):
+        kind = draw(st.sampled_from(["empty", "short", "short", "long"]))
+        if kind == "empty":
+            lines = np.zeros(0, dtype=np.int64)
+        elif kind == "short":
+            lines = np.asarray(
+                draw(st.lists(st.integers(low, 300), min_size=1, max_size=40)),
+                dtype=np.int64,
+            )
+        else:
+            seed = draw(st.integers(0, 2**16))
+            size = batch.SCALAR_CUTOFF + draw(st.integers(0, 200))
+            lines = np.random.default_rng(seed).integers(low, 900, size=size)
+        compute = draw(st.sampled_from([0, 0, 1, 1, 7, 250]))
+        items.append(WorkItem(lines=lines, compute_cycles=compute))
+    return items
+
+
+def expected_result(num_threads, items, chunk, config):
+    """The per-access dynamic oracle as an ExecutionResult."""
+    clocks, hierarchy, compute = dynamic_reference(
+        num_threads, items, chunk=chunk, config=config
+    )
+    return (
+        tuple(clocks),
+        tuple(c.loads for c in hierarchy.counters),
+        report_from_counters(hierarchy.merged_counters(), compute),
+    )
+
+
+def outcome(result):
+    return result.thread_cycles, result.thread_loads, result.report
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """Record, per ``region_replay`` dispatch, whether the kernel ran."""
+    calls: list[bool] = []
+    real = native_replay.run
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native_replay, "run", spy)
+        yield calls
+
+
+def has_negative(items):
+    return any(item.lines.size and item.lines.min() < 0 for item in items)
+
+
+class TestRegionReplayDynamic:
+    """``run_dynamic``: native kernel == Python loop == per-access oracle."""
+
+    @given(
+        data=st.data(),
+        threads=st.integers(1, 8),
+        config=st.sampled_from([TINY, HierarchyConfig()]),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tiers_match_oracle(self, data, threads, config, negative):
+        items = data.draw(work_items(negative=negative), label="items")
+        chunk = data.draw(st.integers(1, len(items) + 3), label="chunk")
+        machine = SimulatedMachine(threads, config)
+        expected = expected_result(threads, items, chunk, config)
+        with kernel_calls() as calls:
+            native = machine.run_dynamic(items, chunk=chunk)
+        assert outcome(native) == expected
+        available = native_replay.KERNEL.lib() is not None
+        assert calls == [available and not has_negative(items)]
+        with pytest.MonkeyPatch.context() as mp:
+            disable_native(mp)
+            python = machine.run_dynamic(items, chunk=chunk)
+        assert outcome(python) == expected
+
+    def test_ties_go_to_lowest_thread(self):
+        # zero-cost empty items never advance a clock: thread 0 takes all
+        items = [WorkItem(lines=np.zeros(0, np.int64))] * 5
+        items.append(WorkItem(lines=np.arange(3), compute_cycles=2))
+        result = SimulatedMachine(4).run_dynamic(items, chunk=1)
+        assert result.thread_cycles == (2 + 3 * 200, 0, 0, 0)
+
+    def test_prefetcher_declines(self):
+        config = HierarchyConfig(prefetch_next_line=True)
+        items = [WorkItem(lines=np.arange(40) % 23, compute_cycles=3)] * 6
+        with kernel_calls() as calls:
+            result = SimulatedMachine(2, config).run_dynamic(items, chunk=2)
+        assert calls == [False]
+        assert outcome(result) == expected_result(2, items, 2, config)
+
+    def test_sanitizer_still_checks_line_stream(self, monkeypatch):
+        monkeypatch.setenv(sanitize.ENV_SWITCH, "1")
+        items = [WorkItem(lines=np.array([0.5, 1.5]))]
+        with pytest.raises(sanitize.SanitizerError):
+            SimulatedMachine(2).run_dynamic(items)
+
+
+class TestRegionReplayStatic:
+    """``run``: native kernel == ``run_exact_region`` == ``run_reference``."""
+
+    @given(
+        data=st.data(),
+        threads=st.integers(1, 8),
+        config=st.sampled_from([TINY, HierarchyConfig()]),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tiers_match_reference(self, data, threads, config, negative):
+        items = data.draw(work_items(negative=negative), label="items")
+        owners = data.draw(
+            st.lists(
+                st.integers(0, threads - 1),
+                min_size=len(items),
+                max_size=len(items),
+            ),
+            label="owners",
+        )
+        per_thread = [
+            [item for item, t in zip(items, owners) if t == u]
+            for u in range(threads)
+        ]
+        machine = SimulatedMachine(threads, config)
+        expected = outcome(machine.run_reference(per_thread))
+        with kernel_calls() as calls:
+            native = machine.run(per_thread)
+        assert outcome(native) == expected
+        available = native_replay.KERNEL.lib() is not None
+        assert calls == [available and not has_negative(items)]
+        with pytest.MonkeyPatch.context() as mp:
+            disable_native(mp)
+            python = machine.run(per_thread)
+        assert outcome(python) == expected
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_one_shot_iterables(self, negative):
+        rng = np.random.default_rng(4)
+        per_thread = random_region(rng, 3)
+        if negative:
+            per_thread[1][0] = WorkItem(lines=np.array([-5, 3, -5]))
+        machine = SimulatedMachine(3)
+        expected = outcome(machine.run_reference(per_thread))
+        result = machine.run([iter(items) for items in per_thread])
+        assert outcome(result) == expected
 
 
 def brute_force_distances(lines):
