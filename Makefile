@@ -26,7 +26,7 @@ test-asan:
 test-ubsan:
 	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py
 
-# The race gate: threaded kernels (parse/counting/rrr/delta/lru) under
+# The race gate: threaded kernels (parse/counting/rrr/delta) under
 # ThreadSanitizer with a multi-thread ambient default; the
 # thread-invariance tests inside sweep 1-8 workers.  Contract 6
 # (native-tsan-gate) statically checks every threaded kernel is

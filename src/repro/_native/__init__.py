@@ -1,12 +1,13 @@
 """Lazily compiled C kernels for hot loops that resist vectorisation.
 
-Every kernel follows the three-tier engine contract
-(:mod:`repro.engine`): the scalar Python loop is ground truth, the numpy
-engine is the tested middle tier, and the native kernel — when a C
+Every kernel follows the tiered engine contract (:mod:`repro.engine`):
+the scalar Python loop is ground truth, the numpy engine (where one
+exists) is the tested middle tier, and the native kernel — when a C
 compiler is available and ``REPRO_NO_NATIVE`` is unset — is a
-bit-identical escalation.  Kernels declare their scalar and vector twins
-(verified statically by :mod:`repro.analysis.contracts`) and report
-their build status through :func:`build_info_all`.
+bit-identical escalation.  Kernels declare their scalar twin and their
+vector twin, or ``None`` when the fallback steps straight to the scalar
+loop (verified statically by :mod:`repro.analysis.contracts`), and
+report their build status through :func:`build_info_all`.
 
 Thread-parallel kernels (``threaded=True``) additionally declare a
 ``serial_twin`` and obey the hard contract that results are
@@ -15,8 +16,6 @@ bit-identical for every ``REPRO_NATIVE_THREADS`` value
 
 Kernels:
 
-* ``lru_replay`` — set-associative LRU replay, threaded over
-  independent cache sets (:mod:`.lru`);
 * ``gorder_greedy`` — the whole Gorder sliding-window greedy
   (:mod:`.gorder`);
 * ``partition_fm`` — FM boundary refinement and greedy region growing
@@ -54,7 +53,7 @@ from .core import (
     use_native_threads,
 )
 from . import (  # noqa: F401  (register)
-    counting, delta, fm, gorder, louvain, lru, parse, replay, rrr,
+    counting, delta, fm, gorder, louvain, parse, replay, rrr,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "fm",
     "gorder",
     "louvain",
-    "lru",
     "parse",
     "replay",
     "rrr",

@@ -1,19 +1,20 @@
 """Shared infrastructure for lazy-compiled C kernels.
 
-:mod:`repro.simulator._native` proved the pattern: a hot loop with no
-numpy-friendly structure is written once in C, compiled on first use with
-the system compiler, cached by source hash, and loaded through
-:mod:`ctypes` — with the pure-Python path kept as bit-identical ground
-truth.  This module generalises that pattern so every native kernel in
-the tree shares one build cache, one fallback gate, and one reporting
-surface:
+A hot loop with no numpy-friendly structure is written once in C,
+compiled on first use with the system compiler, cached by source hash,
+and loaded through :mod:`ctypes` — with the pure-Python path kept as
+bit-identical ground truth.  Every native kernel in the tree shares one
+build cache, one fallback gate, and one reporting surface:
 
 * :class:`NativeKernel` wraps a C source string plus its symbol
   prototypes; ``kernel.lib()`` returns the loaded library or ``None``
   (no compiler, build failure, or ``REPRO_NO_NATIVE=1``);
 * every kernel must name its **scalar and vector twins** — the Python
-  implementations it is bit-identical to — which the reprolint contracts
-  checker verifies statically;
+  implementations it is bit-identical to, with ``vector_twin=None`` for
+  a kernel whose fallback is the scalar loop itself — which the
+  reprolint contracts checker verifies statically;
+* every dispatch goes through :func:`guarded`, which owns the circuit
+  breaker and the injected runtime-fault seam;
 * kernels declared ``threaded=True`` are compiled with ``-pthread`` and
   get the static fork-join worker-pool helper prepended to their source.
   Threaded kernels additionally name a ``serial_twin`` — the Python
@@ -69,7 +70,6 @@ __all__ = [
     "NativeKernel",
     "NativeBuildError",
     "guarded",
-    "runtime_gate",
     "get_kernel",
     "kernel_names",
     "build_info_all",
@@ -314,8 +314,10 @@ class NativeKernel:
     scalar_twin / vector_twin:
         ``"module:function"`` references naming the pure-Python ground
         truth and the numpy middle tier this kernel is bit-identical to.
-        The contracts checker (:mod:`repro.analysis.contracts`) resolves
-        both statically, so a kernel cannot ship without its fallbacks.
+        ``vector_twin=None`` declares that there is no middle tier: the
+        kernel falls back straight to its scalar twin.  The contracts
+        checker (:mod:`repro.analysis.contracts`) resolves both
+        statically, so a kernel cannot ship without its fallbacks.
     threaded:
         Compile with ``-pthread`` and prepend the static worker-pool
         helper.  The kernel takes its thread count as an argument and
@@ -334,7 +336,7 @@ class NativeKernel:
         *,
         symbols: Mapping[str, tuple[Sequence[object], object]],
         scalar_twin: str,
-        vector_twin: str,
+        vector_twin: str | None,
         threaded: bool = False,
         serial_twin: str | None = None,
     ) -> None:
@@ -589,22 +591,6 @@ class NativeKernel:
 
 
 _F = TypeVar("_F", bound=Callable)
-
-
-def runtime_gate(kernel: NativeKernel) -> bool:
-    """Fire the injected runtime fault for ``kernel``, if scheduled.
-
-    For dispatch sites that call library symbols directly instead of
-    going through a :func:`guarded` wrapper.  Returns ``True`` to
-    proceed natively; an injected fault opens the breaker and returns
-    ``False`` so the caller drops to its twin.
-    """
-    try:
-        faults.maybe_native_runtime_fault(kernel.name)
-    except faults.InjectedFault as exc:
-        degrade.record_kernel_fault(kernel, exc)
-        return False
-    return True
 
 
 def guarded(kernel: NativeKernel) -> Callable[[_F], _F]:

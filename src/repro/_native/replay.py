@@ -3,13 +3,14 @@
 :class:`repro.simulator.parallel.SimulatedMachine` replays a parallel
 region as a sequence of work items, each a cache-line trace plus compute
 cycles, issued by one of ``T`` simulated threads over private L1/L2
-caches and one shared L3.  The Python tiers replay item by item (the
-per-access walk of :meth:`~repro.simulator.parallel.SimulatedMachine.run_reference`)
-or re-sort each item through the set-grouped batch engine
-(:func:`repro.simulator.batch.run_exact_region`); this kernel runs the
-whole region, schedule included, in one serial call.
+caches and one shared L3.  The Python fallback replays item by item
+(the per-access walk of
+:meth:`~repro.simulator.parallel.SimulatedMachine.run_reference`); this
+kernel runs the whole region, schedule included, in one serial call.
+There is no vector tier: when the kernel declines, replay steps straight
+down to the per-access loop.
 
-Bit-identity argument (against both Python twins):
+Bit-identity argument (against the per-access walk):
 
 * **the walk** — every load goes L1 → L2 → L3 with allocate-on-miss at
   each level, exactly :meth:`repro.simulator.hierarchy.MemoryHierarchy.access`
@@ -191,7 +192,7 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.simulator.parallel:SimulatedMachine.run_reference",
-    vector_twin="repro.simulator.batch:run_exact_region",
+    vector_twin=None,
 )
 
 
@@ -222,8 +223,8 @@ def run(
     num_items = len(items)
     compute = np.array([item.compute_cycles for item in items])
     if num_items and not np.can_cast(compute.dtype, np.int64):
-        return None  # floats or ints beyond int64 keep the twins' arithmetic
-    if sanitize.enabled():  # the batch engine's line-stream guard
+        return None  # floats or ints beyond int64 keep the Python arithmetic
+    if sanitize.enabled():  # the per-access fallback's line-stream guard
         for item in items:
             sanitize.check_integral(item.lines, where="simulator line stream")
     parts = [np.asarray(item.lines, dtype=np.int64).ravel() for item in items]

@@ -625,7 +625,9 @@ def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
     A kernel's ``scalar_twin`` / ``vector_twin`` are its bit-identity
     anchors: the equivalence suite imports them by these names.  The
     contract requires literal ``"module:qualname"`` strings pointing at
-    a function (or ``Class.method``) defined in the indexed tree.
+    a function (or ``Class.method``) defined in the indexed tree.  A
+    kernel with no numpy middle tier says so with a literal
+    ``vector_twin=None``; the keyword itself is still required.
 
     Thread-parallel kernels (``threaded=True``) additionally must name
     a resolvable ``serial_twin`` — the single-thread entry point the
@@ -689,6 +691,12 @@ def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
                         )
                     )
                     continue
+                if (
+                    role == "vector_twin"
+                    and isinstance(value, ast.Constant)
+                    and value.value is None
+                ):
+                    continue  # no vector tier: the scalar twin is next
                 if not (
                     isinstance(value, ast.Constant)
                     and isinstance(value.value, str)
@@ -698,7 +706,8 @@ def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
                             "native-twin", rel, value.lineno,
                             value.col_offset,
                             f"NativeKernel {role} in {info.module} must "
-                            f"be a literal 'module:qualname' string",
+                            f"be a literal 'module:qualname' string"
+                            + (" or None" if role == "vector_twin" else ""),
                         )
                     )
                     continue

@@ -23,7 +23,7 @@ Rules:
 ``env-read``
     ``os.environ`` / ``os.getenv`` outside the sanctioned config entry
     points (:mod:`repro.engine`, :mod:`repro.ordering.store`,
-    :mod:`repro.simulator._native`, :mod:`repro._native.core` — which
+    :mod:`repro._native.core` — which
     owns the ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE_THREADS`` knobs —
     :mod:`repro.graph.shm`, :mod:`repro.analysis.sanitize`).
     Scattered env reads make a run's configuration impossible to pin.
@@ -56,7 +56,6 @@ SANCTIONED_ENV_MODULES = frozenset(
     {
         "repro.engine",
         "repro.ordering.store",
-        "repro.simulator._native",
         "repro._native.core",
         "repro.graph.shm",
         "repro.graph.store",

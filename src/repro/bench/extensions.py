@@ -277,7 +277,7 @@ def cache_capacity_sweep(
 ) -> ExperimentResult:
     """Hit ratio at every cache capacity from one reuse-distance pass.
 
-    The batched engine's stack-distance algorithm prices a whole
+    The reuse-distance engine's stack-distance pass prices a whole
     cache-geometry axis with a single sweep over the kernel trace: a
     fully associative LRU cache of ``C`` lines hits exactly the accesses
     whose stack distance is below ``C``, so one pass yields the hit

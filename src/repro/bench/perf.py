@@ -4,8 +4,8 @@ Two stages, each pinning a speedup in-tree as a committed JSON file:
 
 **Replay stage** (default) times the Figure-6-style pipeline — build the
 kernel-sweep trace, replay it through the memory hierarchy — through both
-the per-access reference simulator and the batched engine, writing
-``BENCH_simulator.json``.
+the per-access reference simulator and ``SimulatedMachine.run`` (the
+``region_replay`` kernel), writing ``BENCH_simulator.json``.
 
 **Ordering stage** (``--orderings``) times every paper scheme through the
 vector and scalar ordering engines (:mod:`repro.engine`), verifies the
@@ -20,8 +20,8 @@ model — verifies every vector result is bit-identical to its scalar
 reference, and writes ``BENCH_apps.json``.
 
 **Threads stage** (``--threads``) times the thread-parallel native
-kernels (LRU replay, RRR sampling, delta-stepping, the counting-sort
-ordering path) at 1/2/4/8 ``REPRO_NATIVE_THREADS``, verifies every
+kernels (RRR sampling, delta-stepping, the counting-sort ordering
+path) at 1/2/4/8 ``REPRO_NATIVE_THREADS``, verifies every
 thread count produces the bit-identical result, and writes
 ``BENCH_threads.json``.  The 4-thread speedup floors only apply when
 the host actually has four cores (the recorded ``cpu_count``); the
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 import tempfile
@@ -85,13 +84,7 @@ from ..ordering import PAPER_SCHEMES
 from ..ordering.base import Ordering, get_scheme
 from ..ordering.store import OrderingStore
 from ..resilience.journal import RunJournal, cell_key
-from ..simulator import (
-    MemoryHierarchy,
-    ThreadCounters,
-    hit_ratio_curve,
-    lru_stack_distances,
-    run_exact_region,
-)
+from ..simulator import hit_ratio_curve, lru_stack_distances
 from ..simulator.parallel import (
     ExecutionResult,
     SimulatedMachine,
@@ -247,7 +240,6 @@ THREAD_COUNTS = (1, 2, 4, 8)
 #: thread-stage workloads mapped to the threaded kernel they exercise;
 #: floors only apply when that kernel actually compiled.
 THREAD_KERNELS: dict[str, str] = {
-    "lru_replay": "lru_replay",
     "rrr_sampling": "rrr_sample",
     "delta_stepping": "delta_scan",
     "counting_sort": "counting_sort",
@@ -256,8 +248,8 @@ THREAD_KERNELS: dict[str, str] = {
 #: workloads whose 4-thread speedup the threads stage floors.  The
 #: delta-stepping parallel path only engages on scans past its edge
 #: threshold (rare on the surrogates) and counting sort is bandwidth
-#: bound, so only the embarrassingly parallel pair carries a floor.
-THREAD_FLOOR_WORKLOADS = ("lru_replay", "rrr_sampling")
+#: bound, so only embarrassingly parallel RRR sampling carries a floor.
+THREAD_FLOOR_WORKLOADS = ("rrr_sampling",)
 
 #: 4-thread over 1-thread wall-clock floor for the floored workloads,
 #: enforced only on hosts with at least four cores.
@@ -765,15 +757,6 @@ def check_apps(
     return failures
 
 
-def _exact_region(
-    num_threads: int, per_thread: list[list]
-) -> tuple[list[int], ThreadCounters]:
-    """A static region through the batched engine: cycles and counters."""
-    hierarchy = MemoryHierarchy(num_threads)
-    cycles, _ = run_exact_region(hierarchy, per_thread)
-    return cycles, hierarchy.merged_counters()
-
-
 def measure_threads(
     dataset: str = "orkut",
     *,
@@ -782,27 +765,20 @@ def measure_threads(
     seed: int = 7,
     repeats: int = 3,
     thread_counts: tuple[int, ...] = THREAD_COUNTS,
-    num_threads: int = 8,
 ) -> dict:
     """Time the threaded kernels at each ``REPRO_NATIVE_THREADS`` value.
 
-    Four workloads, each run end-to-end through its public entry point
-    (so dispatch and marshalling overhead is charged honestly): the
-    batched LRU replay of the kernel-sweep trace (through
-    :func:`~repro.simulator.batch.run_exact_region`, which drives
-    ``lru_replay``; ``SimulatedMachine.run`` would take the serial
-    ``region_replay`` kernel instead), batched hash-pinned
-    RRR sampling, delta-stepping SSSP, and the Hub Sort ordering whose
-    stable sort runs the counting kernel.  Every thread count must
-    reproduce the single-thread result bit-for-bit — that contract is
-    checked here and enforced unconditionally by :func:`check_threads`;
-    the speedup floors additionally require a multi-core host.
+    Three workloads, each run end-to-end through its public entry point
+    (so dispatch and marshalling overhead is charged honestly): batched
+    hash-pinned RRR sampling, delta-stepping SSSP, and the Hub Sort
+    ordering whose stable sort runs the counting kernel.  Every thread
+    count must reproduce the single-thread result bit-for-bit — that
+    contract is checked here and enforced unconditionally by
+    :func:`check_threads`; the speedup floors additionally require a
+    multi-core host.
     """
     graph = load(dataset)
     n = graph.num_vertices
-    items = _sweep_items(graph)
-    schedule = static_block_schedule(len(items), num_threads)
-    per_thread = [[items[i] for i in idx] for idx in schedule]
     original_of = np.arange(n, dtype=np.int64)
     roots = np.random.default_rng(seed).integers(
         n, size=num_samples
@@ -811,10 +787,6 @@ def measure_threads(
     hub_sort = get_scheme("hub_sort")
 
     workload_fns: dict[str, tuple[Callable[[], object], Callable]] = {
-        "lru_replay": (
-            lambda: _exact_region(num_threads, per_thread),
-            operator.eq,
-        ),
         "rrr_sampling": (
             lambda: sample_rrr_ic_pinned_batch(
                 graph, probability, roots, original_of,
@@ -1097,7 +1069,8 @@ def native_summary(infos: dict[str, dict] | None = None) -> list[str]:
             lines.append(f"native {name}: degraded ({info.get('fallback')})")
         else:
             reason = info.get("fallback") or info.get("status")
-            lines.append(f"native {name}: fallback to vector ({reason})")
+            tier = "vector" if info.get("vector_twin") else "scalar"
+            lines.append(f"native {name}: fallback to {tier} ({reason})")
     return lines
 
 
@@ -1106,7 +1079,7 @@ def check(result: dict, *, min_speedup: float | None = 3.0) -> list[str]:
     failures: list[str] = []
     if not result["checks"]["replay_bit_identical"]:
         failures.append(
-            "batched replay diverged from the per-access reference"
+            "region replay diverged from the per-access reference"
         )
     if min_speedup is not None:
         replay = result["speedup"]["replay"]
@@ -1122,7 +1095,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point (see module docstring)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.perf",
-        description="Time the batched replay engine; guard its speedup.",
+        description="Time the region replay; guard its speedup.",
     )
     parser.add_argument(
         "--dataset", default="orkut",

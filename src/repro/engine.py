@@ -1,7 +1,6 @@
 """Engine selection for the vectorized ordering/partition hot paths.
 
-Mirroring the batched trace-replay engine of :mod:`repro.simulator.batch`,
-every expensive ordering construction keeps a **tiered** implementation:
+Every expensive ordering construction keeps a **tiered** implementation:
 
 * a *scalar* reference — the original per-vertex/per-edge Python loops,
   kept as ground truth and exercised by the equivalence tests;

@@ -1,13 +1,6 @@
 """Trace-driven hardware substrate: caches, hierarchy, parallel machine."""
 
-from .batch import (
-    cache_access_batch,
-    hierarchy_access_batch,
-    hit_ratio_curve,
-    lru_stack_distances,
-    miss_ratio_curve,
-    run_exact_region,
-)
+from .batch import hit_ratio_curve, lru_stack_distances, miss_ratio_curve
 from .cache import Cache, CacheConfig, CacheStats
 from .counters import CounterReport, report_from_counters
 from .hierarchy import (
@@ -29,9 +22,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "CacheStats",
-    "cache_access_batch",
-    "hierarchy_access_batch",
-    "run_exact_region",
     "lru_stack_distances",
     "hit_ratio_curve",
     "miss_ratio_curve",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis import sanitize
 from .cache import Cache, CacheConfig
 
 __all__ = ["HierarchyConfig", "ThreadCounters", "MemoryHierarchy", "LEVELS"]
@@ -160,14 +161,16 @@ class MemoryHierarchy:
     def access_batch(self, thread: int, lines) -> np.ndarray:
         """Replay a contiguous chunk of loads for one thread.
 
-        Returns the serviced level (0..3) per access.  Delegates to the
-        exact batched engine (:mod:`repro.simulator.batch`): bit-identical
-        to calling :meth:`access` per line as long as no other thread's
-        accesses interleave inside the chunk.
+        Returns the serviced level (0..3) per access: :meth:`access` per
+        line, so the counters and cache state match a per-access walk.
         """
-        from .batch import hierarchy_access_batch
-
-        return hierarchy_access_batch(self, thread, lines)
+        sanitize.check_integral(lines, where="simulator line stream")
+        lines = np.asarray(lines).ravel().tolist()
+        return np.fromiter(
+            (self.access(thread, int(line)) for line in lines),
+            dtype=np.int64,
+            count=len(lines),
+        )
 
     def total_writebacks(self) -> int:
         """Dirty evictions across every cache in the hierarchy."""

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .._native import replay as native_replay
-from .batch import run_exact_region
+from ..analysis import sanitize
 from .counters import CounterReport, report_from_counters
 from .hierarchy import HierarchyConfig, MemoryHierarchy, ThreadCounters
 
@@ -127,25 +127,20 @@ class SimulatedMachine:
 
         Threads advance round-robin one item at a time, so L3 accesses of
         different threads interleave — the shared-cache contention model.
-        Three bit-identical tiers replay the region:
+        Two bit-identical tiers replay the region:
 
         * **native** — the ``region_replay`` kernel
           (:mod:`repro._native.replay`) replays the whole region in one
           call, handed the items in round-robin issue order with an owner
           thread each;
-        * **vector** — the exact batched engine
-          (:func:`repro.simulator.batch.run_exact_region`), when the
-          kernel is unavailable, its breaker is open, or it declines
-          (negative line numbers);
-        * **scalar** — :meth:`run_reference`, the per-access loop kept
-          for verification, and the path the next-line prefetcher forces
-          because its installs couple neighbouring accesses.
+        * **scalar** — :meth:`run_reference`, the per-access loop, when
+          the kernel is unavailable, its breaker is open, or it declines
+          (negative line numbers, the next-line prefetcher, whose installs
+          couple neighbouring accesses).
         """
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
-        if self.config.prefetch_next_line:
-            return self.run_reference(per_thread_items)
-        # one-shot iterables are read once, here, for every tier
+        # one-shot iterables are read once, here, for both tiers
         per_thread_items = [list(items) for items in per_thread_items]
         counts = np.array(
             [len(items) for items in per_thread_items], dtype=np.int64
@@ -163,16 +158,7 @@ class SimulatedMachine:
         )
         if native is not None:
             return native
-        hierarchy = MemoryHierarchy(self.num_threads, self.config)
-        cycles, compute = run_exact_region(hierarchy, per_thread_items)
-        merged = hierarchy.merged_counters()
-        report = report_from_counters(merged, sum(compute))
-        return ExecutionResult(
-            num_threads=self.num_threads,
-            thread_cycles=tuple(cycles),
-            thread_loads=tuple(c.loads for c in hierarchy.counters),
-            report=report,
-        )
+        return self.run_reference(per_thread_items)
 
     def _replay_native(
         self,
@@ -184,7 +170,7 @@ class SimulatedMachine:
         """The region through the ``region_replay`` kernel, or None.
 
         Level cycles are ``level_loads * latency`` in int64, exactly the
-        per-load sums the Python tiers accumulate.
+        per-load sums the per-access loop accumulates.
         """
         replay = native_replay.run(
             self.config, self.num_threads, items, owner=owner, chunk=chunk
@@ -216,9 +202,9 @@ class SimulatedMachine:
     ) -> ExecutionResult:
         """Per-access reference replay of :meth:`run` (same results).
 
-        Kept as the ground truth the batched engine is property-tested
-        against, as the fallback when the next-line prefetcher is enabled,
-        and as the baseline the perf-regression harness times.
+        The ground truth the ``region_replay`` kernel is property-tested
+        against, the fallback whenever the kernel does not run, and the
+        baseline the perf-regression harness times.
         """
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
@@ -234,6 +220,9 @@ class SimulatedMachine:
                 if item is None:
                     finished.append(t)
                     continue
+                sanitize.check_integral(
+                    item.lines, where="simulator line stream"
+                )
                 stall = 0
                 for line in item.lines:
                     level = hierarchy.access(t, int(line))
@@ -266,10 +255,10 @@ class SimulatedMachine:
         * **native** — the ``region_replay`` kernel
           (:mod:`repro._native.replay`) runs the schedule and the
           per-access walk in one call;
-        * **vector** — the loop below, when the kernel is unavailable,
+        * **scalar** — the loop below, when the kernel is unavailable,
           its breaker is open, or it declines (negative line numbers, the
           next-line prefetcher): the schedule in Python, each item
-          replayed by :meth:`MemoryHierarchy.access_batch`.
+          replayed per access by :meth:`MemoryHierarchy.access_batch`.
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")
@@ -285,8 +274,7 @@ class SimulatedMachine:
         compute = [0] * self.num_threads
         pos = 0
         # Chunk assignment depends on the running clocks, so the schedule
-        # is computed item by item; the replay itself is batched (the
-        # whole globally-sequential item trace in one engine call).
+        # is computed item by item.
         while pos < len(items):
             t = min(range(self.num_threads), key=lambda x: clocks[x])
             for item in items[pos: pos + chunk]:

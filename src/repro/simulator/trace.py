@@ -74,8 +74,8 @@ class MemoryLayout:
 
         The vectorised counterpart of :meth:`line`: an entire numpy index
         stream is converted to line numbers in one shot, which is what the
-        batched replay engines (:mod:`repro.simulator.batch`) and the
-        chunked trace builders in :mod:`repro.apps` consume.
+        region replay (:class:`repro.simulator.parallel.SimulatedMachine`)
+        and the chunked trace builders in :mod:`repro.apps` consume.
         """
         base, esz = self._arrays[name]
         return (base + np.asarray(indices, dtype=np.int64) * esz) // (

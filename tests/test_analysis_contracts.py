@@ -5,6 +5,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import contracts
 from repro.analysis.contracts import (
     check_bench_floors,
@@ -369,7 +371,11 @@ NATIVE_TREE_BASE = {
 }
 
 
-def _native_tree(tmp_path, kernel_kwargs: str):
+def _native_tree(
+    tmp_path,
+    kernel_kwargs: str,
+    vector_twin: str = 'vector_twin="repro.ref:vector_k",',
+):
     files = dict(NATIVE_TREE_BASE)
     files["repro/_native/foo.py"] = f"""
         from .core import NativeKernel
@@ -380,7 +386,7 @@ def _native_tree(tmp_path, kernel_kwargs: str):
             "int x;",
             symbols={{}},
             scalar_twin="repro.ref:scalar_k",
-            vector_twin="repro.ref:vector_k",
+            {vector_twin}
             {kernel_kwargs}
         )
         """
@@ -418,6 +424,27 @@ def test_threaded_kernel_with_resolvable_serial_twin_passes(tmp_path):
 def test_unthreaded_kernel_needs_no_serial_twin(tmp_path):
     findings = _native_tree(tmp_path, "")
     assert findings == []
+
+
+def test_vector_twin_none_passes(tmp_path):
+    findings = _native_tree(tmp_path, "", vector_twin="vector_twin=None,")
+    assert findings == []
+
+
+@pytest.mark.parametrize(
+    "vector_twin, message",
+    [
+        ("", "declares no vector_twin= keyword"),
+        ("vector_twin=VECTOR,", "must be a literal 'module:qualname'"),
+        ('vector_twin="repro.ref:missing",', "names no function"),
+    ],
+    ids=["missing", "non-literal", "unresolvable"],
+)
+def test_bad_vector_twin_detected(tmp_path, vector_twin, message):
+    findings = _native_tree(tmp_path, "", vector_twin=vector_twin)
+    assert len(findings) == 1
+    assert findings[0].rule == "native-twin"
+    assert message in findings[0].message
 
 
 # ----------------------------------------------------------------------

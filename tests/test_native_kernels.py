@@ -1,11 +1,12 @@
 """The native (C) tier is bit-identical to its scalar ground truth.
 
-Every :class:`repro._native.core.NativeKernel` declares scalar and
-vector twins; this suite is the dynamic half of that contract (the
-static half is the reprolint ``native-twin`` check).  Each kernel is
-driven against its scalar twin over structured and random inputs, the
-``REPRO_NO_NATIVE`` gate is exercised through ``reset()``, and the
-build-info reporting surface is pinned.
+Every :class:`repro._native.core.NativeKernel` declares a scalar twin
+and a vector twin (or ``None`` when it has no vector tier); this suite
+is the dynamic half of that contract (the static half is the reprolint
+``native-twin`` check).  Each kernel is driven against its scalar twin
+over structured and random inputs, the ``REPRO_NO_NATIVE`` gate is
+exercised through ``reset()``, and the build-info reporting surface is
+pinned.
 
 Thread-parallel kernels carry the stronger contract that results are
 bit-identical for **every** ``REPRO_NATIVE_THREADS`` value; the
@@ -37,7 +38,6 @@ from repro.simulator.parallel import SimulatedMachine, WorkItem
 from tests.conftest import make_grid, make_two_cliques, random_graph
 
 KERNEL_NAMES = (
-    "lru_replay",
     "gorder_greedy",
     "partition_fm",
     "delta_scan",
@@ -51,7 +51,7 @@ KERNEL_NAMES = (
 #: kernels that fan work out over a pthread pool; each must declare a
 #: serial twin and reproduce its single-thread result at any count.
 THREADED_KERNELS = (
-    "lru_replay", "delta_scan", "rrr_sample", "counting_sort", "parse_edges",
+    "delta_scan", "rrr_sample", "counting_sort", "parse_edges",
 )
 
 GRAPHS = {
@@ -84,8 +84,8 @@ def test_build_info_fields(name):
     assert isinstance(info["available"], bool)
     assert isinstance(info["status"], str) and info["status"]
     assert info["source_digest"]
-    for role in ("scalar_twin", "vector_twin"):
-        assert ":" in info[role]
+    assert ":" in info["scalar_twin"]
+    assert info["vector_twin"] is None or ":" in info["vector_twin"]
     assert isinstance(info["threaded"], bool)
     if info["threaded"]:
         assert ":" in info["serial_twin"]
@@ -117,9 +117,11 @@ def test_twins_resolve_dynamically():
 
     for name in KERNEL_NAMES:
         info = native_core.get_kernel(name).build_info()
-        targets = [info["scalar_twin"], info["vector_twin"]]
-        if info["serial_twin"] is not None:
-            targets.append(info["serial_twin"])
+        targets = [
+            info[role]
+            for role in ("scalar_twin", "vector_twin", "serial_twin")
+            if info[role] is not None
+        ]
         for target in targets:
             mod_name, qualname = target.split(":")
             obj = importlib.import_module(mod_name)
@@ -129,7 +131,7 @@ def test_twins_resolve_dynamically():
 
 
 def test_no_native_gate_disables_kernel(monkeypatch):
-    kernel = native_core.get_kernel("lru_replay")
+    kernel = native_core.get_kernel("region_replay")
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     kernel.reset()
     try:
@@ -354,28 +356,6 @@ def test_native_louvain_refuses_mismatched_buffers():
 
 
 # ---------------------------------------------------------------------------
-# LRU replay through the batched engine (kernel vs pure-Python walk)
-# ---------------------------------------------------------------------------
-def test_lru_kernel_matches_python_walk(monkeypatch):
-    from repro.simulator import _native as sim_native
-    from repro.simulator import batch as sim_batch
-    from repro.simulator.cache import Cache, CacheConfig
-
-    rng = np.random.default_rng(11)
-    lines = rng.integers(0, 200, size=2000).astype(np.int64)
-    config = CacheConfig(size_bytes=4096, line_bytes=64, associativity=4)
-
-    def run():
-        return sim_batch.cache_access_batch(Cache(config), lines)
-
-    with_kernel = run()
-    monkeypatch.setattr(sim_native, "_lib", None)
-    monkeypatch.setattr(sim_native, "_tried", True)
-    without_kernel = run()
-    assert np.array_equal(with_kernel, without_kernel)
-
-
-# ---------------------------------------------------------------------------
 # Region replay: one simulated parallel region per kernel call
 # ---------------------------------------------------------------------------
 def region_items(seed, num_items=50):
@@ -483,27 +463,6 @@ def test_thread_cap_bounds_only_the_default(monkeypatch):
 # ---------------------------------------------------------------------------
 # Thread invariance: bit-identical results at every thread count
 # ---------------------------------------------------------------------------
-def test_lru_replay_thread_invariant(monkeypatch):
-    from repro.simulator import batch as sim_batch
-    from repro.simulator.cache import Cache, CacheConfig
-
-    rng = np.random.default_rng(3)
-    lines = rng.integers(0, 300, size=4000).astype(np.int64)
-    config = CacheConfig(size_bytes=8192, line_bytes=64, associativity=4)
-
-    def run():
-        cache = Cache(config)
-        hits = sim_batch.cache_access_batch(cache, lines)
-        return hits, cache.stats.hits, cache.stats.misses
-
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-    hits_1, h1, m1 = run()
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-    hits_4, h4, m4 = run()
-    assert np.array_equal(hits_1, hits_4)
-    assert (h1, m1) == (h4, m4)
-
-
 def test_rrr_sampling_thread_invariant(monkeypatch):
     from repro.apps.batch import sample_rrr_ic_pinned_batch
     from repro.apps.influence_max import sample_rrr_ic_pinned

@@ -258,13 +258,6 @@ class TestKernelFaults:
         degrade.record_kernel_fault(counting_kernel, RuntimeError("boom"))
         assert counting_kernel.usable() is None
 
-    def test_runtime_gate_routes_injected_fault(
-        self, monkeypatch, counting_kernel
-    ):
-        _set_faults(monkeypatch, "native-runtime-fault:p=1")
-        assert not native_core.runtime_gate(counting_kernel)
-        assert degrade.breaker_state(counting_kernel.name).state == "open"
-
 
 class TestLouvainKernelFaults:
     """A faulted ``louvain_sweep`` kernel hands the sweep to the vector tier."""

@@ -1,11 +1,13 @@
-"""Property tests: the batched replay engines vs the per-access model.
+"""Property tests: region replay and the reuse-distance engine.
 
-The batched engine (`repro.simulator.batch`) must be *bit-identical* to
-the scalar `Cache`/`MemoryHierarchy` replay — same hits, same misses,
-same writebacks, same final resident state — on arbitrary traces and
-cache geometries, through both the compiled kernel and the pure-Python
-fallback.  The reuse-distance engine must agree with brute force and
-with an actual fully-associative cache.
+Every simulated parallel region replays through two tiers, the
+``region_replay`` kernel and the per-access loop
+(``SimulatedMachine.run_reference`` for static regions, the
+``MemoryHierarchy.access_batch`` schedule loop for dynamic ones).  Both
+must be *bit-identical* to a per-access oracle of the schedule — same
+cycles, loads and counter reports — on arbitrary items and geometries,
+with and without the compiled kernel.  The reuse-distance engine must
+agree with brute force and with an actual fully-associative cache.
 """
 
 import contextlib
@@ -22,14 +24,11 @@ from repro.simulator import (
     CacheConfig,
     HierarchyConfig,
     MemoryHierarchy,
-    cache_access_batch,
-    hierarchy_access_batch,
     hit_ratio_curve,
     lru_stack_distances,
     miss_ratio_curve,
     report_from_counters,
 )
-from repro.simulator import _native, batch
 from repro.simulator.parallel import (
     SimulatedMachine,
     WorkItem,
@@ -37,28 +36,10 @@ from repro.simulator.parallel import (
 )
 from tests.conftest import dynamic_reference
 
-GEOMETRIES = [
-    CacheConfig(1 * 64, 64, 1),     # one set, one way
-    CacheConfig(4 * 64, 64, 1),     # direct-mapped
-    CacheConfig(8 * 64, 64, 8),     # single set, fully associative
-    CacheConfig(16 * 64, 64, 4),    # 4 sets x 4 ways
-    CacheConfig(64 * 64, 64, 8),    # 8 sets x 8 ways
-]
-
 
 def scalar_replay(cache, lines):
     """Ground truth: the per-access loop over the same cache."""
     return np.array([cache.access(int(x)) for x in lines], dtype=bool)
-
-
-def warmed_pair(config, warmup):
-    """Two caches in the same state after a scalar warmup with stores."""
-    a, b = Cache(config), Cache(config)
-    for i, line in enumerate(warmup):
-        store = i % 3 == 0  # leave a mix of dirty and clean lines
-        a.access(int(line), store=store)
-        b.access(int(line), store=store)
-    return a, b
 
 
 def assert_same_state(a, b):
@@ -68,121 +49,66 @@ def assert_same_state(a, b):
 
 
 def disable_native(monkeypatch):
-    """Turn off the LRU and region-replay kernels for ``monkeypatch``'s
-    lifetime, so every replay runs the pure-Python engine."""
-    monkeypatch.setattr(_native, "_tried", True)
-    monkeypatch.setattr(_native, "_lib", None)
+    """Turn off the region-replay kernel for ``monkeypatch``'s lifetime,
+    so every replay runs the per-access loop."""
     monkeypatch.setattr(native_replay.KERNEL, "_tried", True)
     monkeypatch.setattr(native_replay.KERNEL, "_lib", None)
 
 
-@pytest.fixture
-def python_fallback(monkeypatch):
-    """Force the pure-Python replay path regardless of the toolchain."""
-    disable_native(monkeypatch)
+#: tiny geometry: 2-set L1, 4-set L2, 8-set L3, so every level evicts.
+TINY = HierarchyConfig(
+    l1=CacheConfig(2 * 64, 64, 1),
+    l2=CacheConfig(8 * 64, 64, 2),
+    l3=CacheConfig(16 * 64, 64, 2),
+)
 
+#: the next-line prefetcher, which the kernel declines.
+PREFETCH = HierarchyConfig(prefetch_next_line=True)
 
-class TestCacheAccessBatch:
-    @pytest.mark.parametrize("config", GEOMETRIES)
-    @given(data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_matches_scalar(self, config, data):
-        warmup = data.draw(
-            st.lists(st.integers(0, 200), max_size=60), label="warmup"
-        )
-        trace = data.draw(
-            st.lists(st.integers(0, 200), min_size=1, max_size=250),
-            label="trace",
-        )
-        a, b = warmed_pair(config, warmup)
-        expected = scalar_replay(a, trace)
-        got = cache_access_batch(b, np.asarray(trace, dtype=np.int64))
-        assert np.array_equal(got, expected)
-        assert_same_state(a, b)
-
-    @pytest.mark.parametrize("config", GEOMETRIES)
-    def test_python_path_matches_scalar(self, config, python_fallback):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            warmup = rng.integers(0, 150, size=40)
-            trace = rng.integers(0, 150, size=300)
-            a, b = warmed_pair(config, warmup)
-            expected = scalar_replay(a, trace)
-            got = cache_access_batch(b, trace)
-            assert np.array_equal(got, expected)
-            assert_same_state(a, b)
-
-    def test_empty_trace(self):
-        cache = Cache(GEOMETRIES[3])
-        got = cache_access_batch(cache, np.array([], dtype=np.int64))
-        assert got.size == 0
-        assert cache.stats.accesses == 0
-
-    def test_native_and_python_paths_agree(self, monkeypatch):
-        if _native.lib() is None:
-            pytest.skip("no compiler available for the native kernel")
-        rng = np.random.default_rng(11)
-        trace = rng.integers(0, 400, size=2000)
-        native_cache = Cache(GEOMETRIES[4])
-        native_hits = cache_access_batch(native_cache, trace)
-        monkeypatch.setattr(_native, "_lib", None)
-        python_cache = Cache(GEOMETRIES[4])
-        python_hits = cache_access_batch(python_cache, trace)
-        assert np.array_equal(native_hits, python_hits)
-        assert_same_state(native_cache, python_cache)
+CONFIGS = [TINY, HierarchyConfig(), PREFETCH]
 
 
 class TestHierarchyAccessBatch:
     @given(
-        trace=st.lists(st.integers(0, 600), min_size=1, max_size=400),
-        threads=st.integers(1, 3),
+        chunks=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.integers(0, 600), max_size=200),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        config=st.sampled_from(CONFIGS),
     )
     @settings(max_examples=20, deadline=None)
-    def test_matches_scalar(self, trace, threads):
-        scalar = MemoryHierarchy(threads)
-        batched = MemoryHierarchy(threads)
-        lines = np.asarray(trace, dtype=np.int64)
-        t = threads - 1
-        expected = np.array(
-            [scalar.access(t, int(x)) for x in lines], dtype=np.int64
-        )
-        # force the batched path even for tiny hypothesis traces
-        saved = batch.SCALAR_CUTOFF
-        batch.SCALAR_CUTOFF = 0
-        try:
-            got = hierarchy_access_batch(batched, t, lines)
-        finally:
-            batch.SCALAR_CUTOFF = saved
-        assert np.array_equal(got, expected)
+    def test_matches_scalar(self, chunks, config):
+        """Chunks from several threads, prefetcher on and off."""
+        scalar = MemoryHierarchy(3, config)
+        batched = MemoryHierarchy(3, config)
+        for t, trace in chunks:
+            lines = np.asarray(trace, dtype=np.int64)
+            expected = np.array(
+                [scalar.access(t, int(x)) for x in lines], dtype=np.int64
+            )
+            assert np.array_equal(batched.access_batch(t, lines), expected)
         for l1a, l1b in zip(scalar.l1, batched.l1):
             assert_same_state(l1a, l1b)
         for l2a, l2b in zip(scalar.l2, batched.l2):
             assert_same_state(l2a, l2b)
         assert_same_state(scalar.l3, batched.l3)
-        assert scalar.merged_counters() == batched.merged_counters()
-
-    def test_short_trace_uses_scalar_path(self):
-        # below the cutoff the scalar loop runs; results stay identical
-        trace = np.arange(batch.SCALAR_CUTOFF - 1, dtype=np.int64) % 97
-        scalar = MemoryHierarchy(1)
-        batched = MemoryHierarchy(1)
-        expected = np.array(
-            [scalar.access(0, int(x)) for x in trace], dtype=np.int64
-        )
-        assert np.array_equal(
-            hierarchy_access_batch(batched, 0, trace), expected
-        )
+        assert scalar.counters == batched.counters
 
     def test_prefetcher_falls_back_to_scalar(self):
-        cfg = HierarchyConfig(prefetch_next_line=True)
+        """A long prefetching trace: the kernel declines the prefetcher,
+        so ``access_batch`` must equal the per-access loop exactly."""
+        config = HierarchyConfig(prefetch_next_line=True)
         trace = np.arange(3000, dtype=np.int64) % 511
-        scalar = MemoryHierarchy(1, cfg)
-        batched = MemoryHierarchy(1, cfg)
+        scalar = MemoryHierarchy(1, config)
+        batched = MemoryHierarchy(1, config)
         expected = np.array(
             [scalar.access(0, int(x)) for x in trace], dtype=np.int64
         )
-        got = hierarchy_access_batch(batched, 0, trace)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(batched.access_batch(0, trace), expected)
         assert scalar.merged_counters() == batched.merged_counters()
 
 
@@ -198,57 +124,9 @@ def random_region(rng, num_threads, num_items=60, lines_per_item=40):
     return [[items[i] for i in idx] for idx in schedule]
 
 
-class TestRunExactRegion:
-    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
-    def test_run_matches_reference(self, threads):
-        rng = np.random.default_rng(threads)
-        per_thread = random_region(rng, threads)
-        machine = SimulatedMachine(threads)
-        reference = machine.run_reference(per_thread)
-        batched = machine.run(per_thread)
-        assert batched.thread_cycles == reference.thread_cycles
-        assert batched.thread_loads == reference.thread_loads
-        assert batched.report == reference.report
-
-    def test_run_matches_reference_python_path(self, python_fallback):
-        rng = np.random.default_rng(3)
-        per_thread = random_region(rng, 4)
-        machine = SimulatedMachine(4)
-        assert (
-            machine.run(per_thread).report
-            == machine.run_reference(per_thread).report
-        )
-
-    def test_prefetch_config_still_exact(self):
-        rng = np.random.default_rng(5)
-        per_thread = random_region(rng, 2)
-        machine = SimulatedMachine(
-            2, HierarchyConfig(prefetch_next_line=True)
-        )
-        assert (
-            machine.run(per_thread).report
-            == machine.run_reference(per_thread).report
-        )
-
-    def test_empty_threads_ok(self):
-        machine = SimulatedMachine(3)
-        per_thread = [[WorkItem(lines=[1, 2, 3])], [], []]
-        batched = machine.run(per_thread)
-        reference = machine.run_reference(per_thread)
-        assert batched.thread_cycles == reference.thread_cycles
-
-
-#: tiny geometry: 2-set L1, 4-set L2, 8-set L3, so every level evicts.
-TINY = HierarchyConfig(
-    l1=CacheConfig(2 * 64, 64, 1),
-    l2=CacheConfig(8 * 64, 64, 2),
-    l3=CacheConfig(16 * 64, 64, 2),
-)
-
-
 @st.composite
 def work_items(draw, *, negative):
-    """Items with empty, short and above-``SCALAR_CUTOFF`` line streams.
+    """Items with empty, short and long (1024+ line) streams.
 
     Compute cycles are mostly 0 or 1, so clocks tie often and the
     lowest-thread-id tie-break is exercised.  With ``negative`` some
@@ -267,7 +145,7 @@ def work_items(draw, *, negative):
             )
         else:
             seed = draw(st.integers(0, 2**16))
-            size = batch.SCALAR_CUTOFF + draw(st.integers(0, 200))
+            size = 1024 + draw(st.integers(0, 200))
             lines = np.random.default_rng(seed).integers(low, 900, size=size)
         compute = draw(st.sampled_from([0, 0, 1, 1, 7, 250]))
         items.append(WorkItem(lines=lines, compute_cycles=compute))
@@ -306,8 +184,14 @@ def kernel_calls():
         yield calls
 
 
-def has_negative(items):
-    return any(item.lines.size and item.lines.min() < 0 for item in items)
+def kernel_runs(items, config):
+    """Whether the kernel should take a region of ``items``."""
+    available = native_replay.KERNEL.lib() is not None
+    negative = any(
+        np.asarray(item.lines).size and np.min(item.lines) < 0
+        for item in items
+    )
+    return available and not negative and not config.prefetch_next_line
 
 
 class TestRegionReplayDynamic:
@@ -316,7 +200,7 @@ class TestRegionReplayDynamic:
     @given(
         data=st.data(),
         threads=st.integers(1, 8),
-        config=st.sampled_from([TINY, HierarchyConfig()]),
+        config=st.sampled_from(CONFIGS),
         negative=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
@@ -328,8 +212,7 @@ class TestRegionReplayDynamic:
         with kernel_calls() as calls:
             native = machine.run_dynamic(items, chunk=chunk)
         assert outcome(native) == expected
-        available = native_replay.KERNEL.lib() is not None
-        assert calls == [available and not has_negative(items)]
+        assert calls == [kernel_runs(items, config)]
         with pytest.MonkeyPatch.context() as mp:
             disable_native(mp)
             python = machine.run_dynamic(items, chunk=chunk)
@@ -343,27 +226,34 @@ class TestRegionReplayDynamic:
         assert result.thread_cycles == (2 + 3 * 200, 0, 0, 0)
 
     def test_prefetcher_declines(self):
-        config = HierarchyConfig(prefetch_next_line=True)
         items = [WorkItem(lines=np.arange(40) % 23, compute_cycles=3)] * 6
         with kernel_calls() as calls:
-            result = SimulatedMachine(2, config).run_dynamic(items, chunk=2)
+            result = SimulatedMachine(2, PREFETCH).run_dynamic(items, chunk=2)
         assert calls == [False]
-        assert outcome(result) == expected_result(2, items, 2, config)
+        assert outcome(result) == expected_result(2, items, 2, PREFETCH)
 
-    def test_sanitizer_still_checks_line_stream(self, monkeypatch):
-        monkeypatch.setenv(sanitize.ENV_SWITCH, "1")
-        items = [WorkItem(lines=np.array([0.5, 1.5]))]
-        with pytest.raises(sanitize.SanitizerError):
-            SimulatedMachine(2).run_dynamic(items)
+
+def assert_static_tiers_match(machine, per_thread):
+    """``run`` through the kernel and the per-access loop == reference."""
+    items = [item for thread_items in per_thread for item in thread_items]
+    expected = outcome(machine.run_reference(per_thread))
+    with kernel_calls() as calls:
+        native = machine.run(per_thread)
+    assert outcome(native) == expected
+    assert calls == [kernel_runs(items, machine.config)]
+    with pytest.MonkeyPatch.context() as mp:
+        disable_native(mp)
+        python = machine.run(per_thread)
+    assert outcome(python) == expected
 
 
 class TestRegionReplayStatic:
-    """``run``: native kernel == ``run_exact_region`` == ``run_reference``."""
+    """``run``: native kernel == per-access loop == ``run_reference``."""
 
     @given(
         data=st.data(),
         threads=st.integers(1, 8),
-        config=st.sampled_from([TINY, HierarchyConfig()]),
+        config=st.sampled_from(CONFIGS),
         negative=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
@@ -381,17 +271,9 @@ class TestRegionReplayStatic:
             [item for item, t in zip(items, owners) if t == u]
             for u in range(threads)
         ]
-        machine = SimulatedMachine(threads, config)
-        expected = outcome(machine.run_reference(per_thread))
-        with kernel_calls() as calls:
-            native = machine.run(per_thread)
-        assert outcome(native) == expected
-        available = native_replay.KERNEL.lib() is not None
-        assert calls == [available and not has_negative(items)]
-        with pytest.MonkeyPatch.context() as mp:
-            disable_native(mp)
-            python = machine.run(per_thread)
-        assert outcome(python) == expected
+        assert_static_tiers_match(
+            SimulatedMachine(threads, config), per_thread
+        )
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_one_shot_iterables(self, negative):
@@ -403,6 +285,47 @@ class TestRegionReplayStatic:
         expected = outcome(machine.run_reference(per_thread))
         result = machine.run([iter(items) for items in per_thread])
         assert outcome(result) == expected
+
+
+class TestRunExactRegion:
+    """Fixed block-scheduled random regions: ``run`` == ``run_reference``."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    def test_run_matches_reference(self, threads):
+        per_thread = random_region(np.random.default_rng(threads), threads)
+        assert_static_tiers_match(SimulatedMachine(threads), per_thread)
+
+    def test_run_matches_reference_python_path(self, monkeypatch):
+        disable_native(monkeypatch)
+        per_thread = random_region(np.random.default_rng(3), 4)
+        machine = SimulatedMachine(4)
+        with kernel_calls() as calls:
+            result = machine.run(per_thread)
+        assert calls == [False]
+        assert outcome(result) == outcome(machine.run_reference(per_thread))
+
+    def test_prefetch_config_still_exact(self):
+        per_thread = random_region(np.random.default_rng(5), 2)
+        assert_static_tiers_match(SimulatedMachine(2, PREFETCH), per_thread)
+
+    def test_empty_threads_ok(self):
+        per_thread = [[WorkItem(lines=[1, 2, 3])], [], []]
+        assert_static_tiers_match(SimulatedMachine(3), per_thread)
+
+
+@pytest.mark.parametrize("tier", ["native", "python"])
+@pytest.mark.parametrize("method", ["run", "run_dynamic"])
+def test_sanitizer_still_checks_line_stream(monkeypatch, method, tier):
+    monkeypatch.setenv(sanitize.ENV_SWITCH, "1")
+    if tier == "python":
+        disable_native(monkeypatch)
+    machine = SimulatedMachine(2)
+    items = [WorkItem(lines=np.array([0.5, 1.5]))]
+    with pytest.raises(sanitize.SanitizerError):
+        if method == "run":
+            machine.run([items, []])
+        else:
+            machine.run_dynamic(items)
 
 
 def brute_force_distances(lines):
