@@ -18,13 +18,20 @@ clint:
 
 # Sanitizer legs: rebuild every native kernel under an instrumented
 # profile (cache-keyed separately from the -O3 builds) and run the
-# bit-identity suites; any sanitizer report fails the leg with its
+# bit-identity suites plus the partitioner suites, which drive the
+# whole-bisection kernel; any sanitizer report fails the leg with its
 # SUMMARY line (scripts/native_sanitize.sh).
+PARTITION_TESTS = tests/test_partition_multilevel.py \
+	tests/test_partition_properties.py \
+	tests/test_partition_matching_coarsen.py
+
 test-asan:
-	sh scripts/native_sanitize.sh asan -x -q tests/test_native_kernels.py
+	sh scripts/native_sanitize.sh asan -x -q tests/test_native_kernels.py \
+		$(PARTITION_TESTS)
 
 test-ubsan:
-	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py
+	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py \
+		$(PARTITION_TESTS)
 
 # The race gate: threaded kernels (parse/counting/rrr/delta) under
 # ThreadSanitizer with a multi-thread ambient default; the

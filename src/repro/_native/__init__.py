@@ -18,8 +18,9 @@ Kernels:
 
 * ``gorder_greedy`` — the whole Gorder sliding-window greedy
   (:mod:`.gorder`);
-* ``partition_fm`` — FM boundary refinement and greedy region growing
-  for nested dissection / METIS (:mod:`.fm`);
+* ``partition_fm`` — one whole multilevel bisection (matching,
+  contraction, growing, FM refinement) for nested dissection / METIS,
+  drawing from the caller's numpy generator (:mod:`.fm`);
 * ``delta_scan`` — delta-stepping bucket relaxation, threaded over each
   scan's edge list with an ordered merge (:mod:`.delta`);
 * ``rrr_sample`` — hash-pinned IC reverse-BFS cascades, threaded over

@@ -34,7 +34,7 @@ from ..simulator.cache import CacheConfig
 from ..simulator.hierarchy import HierarchyConfig
 from .experiments import ExperimentResult
 from .report import format_profile, format_table
-from .runners import collect_scores, ordering_for
+from .runners import collect_scores, ordering_for, stored_ordering
 
 __all__ = [
     "gorder_window_sweep",
@@ -125,10 +125,10 @@ def metis_part_order(
                 num_parts=k, part_order="hierarchical"
             )
             gap_s = average_gap(
-                graph, shuffled.order(graph).permutation
+                graph, stored_ordering(shuffled, graph).permutation
             )
             gap_h = average_gap(
-                graph, hierarchical.order(graph).permutation
+                graph, stored_ordering(hierarchical, graph).permutation
             )
             data[ds][k] = {"shuffle": gap_s, "hierarchical": gap_h}
             rows.append([ds, k, round(gap_s, 2), round(gap_h, 2)])

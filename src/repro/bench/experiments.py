@@ -54,6 +54,7 @@ from .runners import (
     collect_costs,
     collect_scores,
     ordering_for,
+    stored_ordering,
     warm_orderings,
 )
 
@@ -194,7 +195,7 @@ def _metis_cell(cell: tuple[int, str]) -> float:
     """Pool worker: one (partition count, dataset) METIS-sweep cell."""
     num_parts, dataset = cell
     graph = load(dataset)
-    ordering = MetisOrder(num_parts=num_parts).order(graph)
+    ordering = stored_ordering(MetisOrder(num_parts=num_parts), graph)
     return max(average_gap(graph, ordering.permutation), 1e-9)
 
 

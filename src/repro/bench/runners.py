@@ -36,7 +36,7 @@ from ..datasets.registry import install_shared_graph, load
 from ..graph import shm as graph_shm
 from ..graph.csr import CSRGraph
 from ..measures.gaps import GapMeasures, gap_measures
-from ..ordering.base import Ordering, get_scheme
+from ..ordering.base import Ordering, OrderingScheme, get_scheme
 from ..ordering.store import default_store
 from ..resilience import faults
 from ..resilience.journal import active_journal, cell_key
@@ -48,6 +48,7 @@ from .pool import (
 )
 
 __all__ = [
+    "stored_ordering",
     "ordering_for",
     "measures_for",
     "warm_orderings",
@@ -130,6 +131,17 @@ def _measures_from_json(value: dict) -> GapMeasures:
     )
 
 
+def stored_ordering(scheme: OrderingScheme, graph: CSRGraph) -> Ordering:
+    """``scheme.order(graph)`` through the persistent ordering store.
+
+    Plain computation when the store is off (``REPRO_ORDERING_CACHE=0``).
+    """
+    store = default_store()
+    if store is None:
+        return scheme.order(graph)
+    return store.get_or_compute(graph, scheme)
+
+
 def ordering_for(scheme: str, dataset: str) -> Ordering:
     """The (memoised) ordering of ``scheme`` on ``dataset``.
 
@@ -153,11 +165,7 @@ def ordering_for(scheme: str, dataset: str) -> Ordering:
         entry = (
             journal.lookup(journal_key) if journal is not None else None
         )
-        store = default_store()
-        if store is not None:
-            ordering = store.get_or_compute(graph, instance)
-        else:
-            ordering = instance.order(graph)
+        ordering = stored_ordering(instance, graph)
         if journal is not None:
             if entry is not None and entry.get("status") == "ok":
                 journal.mark_replayed(journal_key)

@@ -60,9 +60,7 @@ class NestedDissectionOrder(OrderingScheme):
             depth=0,
         )
         counter.count_vertices(n)
-        engine = resolve_engine()
-        if engine == "native" and _native_fm.KERNEL.usable() is None:
-            engine = "vector"  # partition kernels unavailable/degraded: numpy ran
+        engine = _native_fm.engine_label(resolve_engine())
         return ordering_from_sequence(sequence), {
             "max_depth": self._max_depth,
             "leaf_size": self._leaf_size,

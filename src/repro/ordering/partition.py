@@ -95,9 +95,7 @@ class MetisOrder(OrderingScheme):
             assignment = remap[assignment]
         # Stable sort by part: contiguous parts, natural order within.
         sequence = np.argsort(assignment, kind="stable")
-        engine = resolve_engine()
-        if engine == "native" and _native_fm.KERNEL.usable() is None:
-            engine = "vector"  # partition kernels unavailable/degraded: numpy ran
+        engine = _native_fm.engine_label(resolve_engine())
         return ordering_from_sequence(sequence), {
             "num_parts": num_parts,
             "edge_cut": result.cut,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._native import fm as _native_fm
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
 
@@ -95,40 +94,26 @@ def _grow_one(
 ) -> np.ndarray:
     """One graph-growing trial from a random seed vertex.
 
-    The rng draws (seed pick, disconnected top-up) stay in Python so the
-    random stream is identical across tiers; only the deterministic
-    growth loop escalates to the C kernel under the native tier.
+    Growth runs out of frontier on a disconnected coarse graph; the
+    top-up then absorbs random part-1 vertices, popping each pick off
+    the ascending candidate list built once — the same draws and picks
+    as rescanning ``np.flatnonzero(part == 1)`` before every pick.
     """
     n = graph.num_vertices
     part = np.ones(n, dtype=np.int64)  # everything starts in part 1
     seed = int(rng.integers(n))
-    grown: float | None = None
-    if resolve_engine() == "native":
-        grown = _native_fm.grow_region(
-            graph.indptr,
-            graph.indices,
-            graph.weights,
-            np.ascontiguousarray(vertex_weights, dtype=np.float64),
-            seed,
-            target,
-            part,
-        )
-    if grown is None:
-        grown = _grow_one_scalar(graph, vertex_weights, part, seed, target)
+    grown = _grow_one_scalar(graph, vertex_weights, part, seed, target)
     if not (part == 0).any():
         # degenerate: put the seed alone in part 0
         part[seed] = 0
     elif grown == 0.0:
         part[seed] = 0
-    # If we ran out of frontier before reaching target (disconnected coarse
-    # graph), top up with arbitrary part-1 vertices.
-    while grown < target:
-        remaining = np.flatnonzero(part == 1)
-        if remaining.size <= 1:
-            break
-        v = int(remaining[rng.integers(remaining.size)])
-        part[v] = 0
-        grown += float(vertex_weights[v])
+    if grown < target:
+        remaining = np.flatnonzero(part == 1).tolist()
+        while grown < target and len(remaining) > 1:
+            v = remaining.pop(int(rng.integers(len(remaining))))
+            part[v] = 0
+            grown += float(vertex_weights[v])
     return part
 
 

@@ -11,14 +11,23 @@ The three classic phases:
 
 ``k``-way partitions are produced by recursive bisection with proportional
 weight targets, exactly the scheme METIS's ``pmetis`` path uses.
+
+Under the native engine one :func:`bisect` is one call into the
+``partition_fm`` kernel (:func:`repro._native.fm.bisect_ladder`), which
+runs all three phases in C and draws from the caller's generator; the
+Python ladder :func:`_bisect_python` is its twin and runs whenever the
+kernel declines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._native import fm as _native_fm
+from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
 from .coarsen import CoarseLevel, coarsen_graph
 from .initial import edge_cut, greedy_bisection
@@ -71,6 +80,27 @@ def _coarsening_hierarchy(
     return levels
 
 
+def _checked_weights(vertex_weights, n: int) -> np.ndarray:
+    """``vertex_weights`` as float64, or ones; ValueError when malformed."""
+    if vertex_weights is None:
+        return np.ones(n, dtype=np.float64)
+    weights = np.asarray(vertex_weights)
+    if weights.ndim != 1 or weights.size != n:
+        raise ValueError(
+            f"vertex_weights must be a 1-d array of length {n}, "
+            f"got shape {weights.shape}"
+        )
+    weights = weights.astype(np.float64, copy=False)
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("vertex_weights must be finite and non-negative")
+    return weights
+
+
+def _check_imbalance(imbalance: float) -> None:
+    if not (math.isfinite(imbalance) and imbalance >= 0):
+        raise ValueError(f"imbalance must be >= 0, got {imbalance!r}")
+
+
 def bisect(
     graph: CSRGraph,
     *,
@@ -79,20 +109,46 @@ def bisect(
     imbalance: float = 0.1,
     seed: int | np.random.Generator | None = 0,
 ) -> PartitionResult:
-    """Multilevel bisection of ``graph`` into parts {0, 1}."""
+    """Multilevel bisection of ``graph`` into parts {0, 1}.
+
+    Raises ValueError unless ``vertex_weights`` is a finite,
+    non-negative 1-d array with one weight per vertex, ``0 <
+    target_fraction < 1`` and ``imbalance >= 0``.
+    """
+    n = graph.num_vertices
+    vertex_weights = _checked_weights(vertex_weights, n)
+    if not 0.0 < target_fraction < 1.0:
+        raise ValueError(
+            f"target_fraction must lie in (0, 1), got {target_fraction!r}"
+        )
+    _check_imbalance(imbalance)
     rng = (
         seed
         if isinstance(seed, np.random.Generator)
         else np.random.default_rng(seed)
     )
-    n = graph.num_vertices
-    if vertex_weights is None:
-        vertex_weights = np.ones(n, dtype=np.float64)
-    if n == 0:
-        return PartitionResult(np.zeros(0, dtype=np.int64), 2, 0.0)
-    if n == 1:
-        return PartitionResult(np.zeros(1, dtype=np.int64), 2, 0.0)
+    if n <= 1:
+        return PartitionResult(np.zeros(n, dtype=np.int64), 2, 0.0)
+    if resolve_engine() == "native":
+        native = _native_fm.bisect_ladder(
+            graph, vertex_weights, target_fraction, imbalance, rng
+        )
+        if native is not None:
+            part, cut = native
+            return PartitionResult(part, 2, cut)
+    return _bisect_python(
+        graph, vertex_weights, target_fraction, imbalance, rng
+    )
 
+
+def _bisect_python(
+    graph: CSRGraph,
+    vertex_weights: np.ndarray,
+    target_fraction: float,
+    imbalance: float,
+    rng: np.random.Generator,
+) -> PartitionResult:
+    """The coarsen → grow → refine ladder in Python (``n >= 2``)."""
     levels = _coarsening_hierarchy(graph, vertex_weights, rng)
     coarsest = levels[-1].graph if levels else graph
     coarsest_vw = levels[-1].vertex_weights if levels else vertex_weights
@@ -136,17 +192,18 @@ def partition_graph(
     Parts are numbered so that part ids increase along the recursive
     splitting order, which is the property the METIS-based *ordering*
     exploits (contiguous ranks within a part, parts in id order).
+    Validates ``vertex_weights`` and ``imbalance`` as :func:`bisect` does.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
+    n = graph.num_vertices
+    vertex_weights = _checked_weights(vertex_weights, n)
+    _check_imbalance(imbalance)
     rng = (
         seed
         if isinstance(seed, np.random.Generator)
         else np.random.default_rng(seed)
     )
-    n = graph.num_vertices
-    if vertex_weights is None:
-        vertex_weights = np.ones(n, dtype=np.float64)
     assignment = np.zeros(n, dtype=np.int64)
     if num_parts == 1 or n == 0:
         return PartitionResult(assignment, num_parts, 0.0)

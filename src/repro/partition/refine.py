@@ -14,7 +14,6 @@ import heapq
 
 import numpy as np
 
-from .._native import fm as _native_fm
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
 from .initial import edge_cut, partition_weights
@@ -96,20 +95,6 @@ def fm_refine(
         (1.0 + imbalance) * (1.0 - target_fraction) * total,
     )
 
-    if resolve_engine() == "native":
-        done = _native_fm.refine(
-            graph.indptr,
-            graph.indices,
-            graph.weights,
-            part,
-            np.ascontiguousarray(vertex_weights, dtype=np.float64),
-            limits,
-            max_negative_moves,
-            max_passes,
-        )
-        if done:
-            return part
-
     for _ in range(max_passes):
         improved = _one_pass(
             graph, part, vertex_weights, limits, max_negative_moves
@@ -128,9 +113,9 @@ def _one_pass(
 ) -> bool:
     """One FM pass; mutates ``part``; returns whether the cut improved.
 
-    The native tier never reaches here when its kernel is available —
-    :func:`fm_refine` escalates the whole pass loop to C — so a
-    non-scalar engine always means the vector pass.
+    Any non-scalar engine runs the vector pass; the native tier's FM
+    lives inside the whole-bisection kernel
+    (:func:`repro._native.fm.bisect_ladder`).
     """
     if resolve_engine() != "scalar":
         return _one_pass_vector(

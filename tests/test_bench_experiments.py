@@ -8,7 +8,9 @@ point is driven with the smallest inputs that exercise its code path, so
 import pytest
 
 from repro.bench import ALL_EXPERIMENTS, fig7, fig8, fig9, fig10, fig11, fig12
+from repro.bench import experiments
 from repro.bench.experiments import ExperimentResult
+from repro.ordering import partition as partition_ordering
 
 
 class TestRegistry:
@@ -109,3 +111,17 @@ class TestResultPersistence:
         assert rc == 0
         assert (tmp_path / "fig8.txt").exists()
         assert (tmp_path / "fig8.json").exists()
+
+
+class TestMetisCellStore:
+    def test_warm_cell_reads_the_store(self, monkeypatch):
+        """A second fig7 cell on a warm store recomputes no partition."""
+        cell = (8, "euroroad")
+        cold = experiments._metis_cell(cell)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warm fig7 cell recomputed METIS")
+
+        monkeypatch.setattr(partition_ordering, "partition_graph", refuse)
+        assert experiments._metis_cell(cell) == cold
+

@@ -28,14 +28,22 @@ from hypothesis import strategies as st
 
 from repro import _native
 from repro._native import core as native_core
+from repro._native import fm as native_fm
 from repro.apps.delta_stepping import delta_stepping
 from repro.community.louvain import _LouvainState, louvain
 from repro.engine import strip_engine_metadata, use_engine
-from repro.graph import from_edges
+from repro.graph import CSRGraph, from_edges
 from repro.ordering import get_scheme
+from repro.partition import bisect, partition_graph, vertex_separator
+from repro.partition import multilevel
 from repro.simulator import HierarchyConfig
 from repro.simulator.parallel import SimulatedMachine, WorkItem
-from tests.conftest import make_grid, make_two_cliques, random_graph
+from tests.conftest import (
+    make_grid,
+    make_star,
+    make_two_cliques,
+    random_graph,
+)
 
 KERNEL_NAMES = (
     "gorder_greedy",
@@ -203,6 +211,275 @@ def test_native_ordering_metadata_records_tier():
         else "vector"
     )
     assert native.metadata["engine"] == expected
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity: the whole multilevel bisection (partition_fm)
+# ---------------------------------------------------------------------------
+TIERS = ("native", "vector", "scalar")
+
+#: ladder inputs beyond GRAPHS: a star (matching stalls at once), many
+#: components with isolated vertices (growth tops up), a graph on the
+#: stall test's boundary, and an integer-weighted graph deep enough to
+#: coarsen over several levels.
+LADDER_GRAPHS = {
+    **GRAPHS,
+    "star": make_star(60),
+    "components": from_edges(
+        90, [(u, u + 1) for u in range(0, 80) if u % 9 != 8]
+    ),
+    # four matchable pairs: 76 coarse vertices == 0.95 * 80, the stall
+    # test's boundary (80 / 32 lets a pair weigh 2)
+    "stall_boundary": from_edges(80, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    "weighted": from_edges(
+        300,
+        [(u, (u * 7 + 3) % 300) for u in range(300)]
+        + [(u, u + 1) for u in range(299)],
+        weights=[float(1 + u % 5) for u in range(599)],
+    ),
+}
+
+
+def ladder_available() -> bool:
+    return native_fm.KERNEL.lib() is not None
+
+
+def python_ladder_refused(monkeypatch):
+    """Make the Python ladder fail loudly: the kernel must run."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Python ladder ran under the native tier")
+
+    monkeypatch.setattr(multilevel, "_bisect_python", refuse)
+
+
+def bisect_outcome(graph, engine, bit_generator=np.random.PCG64, **kwargs):
+    rng = np.random.Generator(bit_generator(11))
+    with use_engine(engine):
+        result = bisect(graph, seed=rng, **kwargs)
+    return result.assignment, result.cut, rng.bit_generator.state
+
+
+def assert_same_outcome(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert a[1] == b[1]
+    assert native_fm._same_state(a[2], b[2])
+
+
+def assert_bisect_tiers_match(monkeypatch, graph, **kwargs):
+    """Native, vector and scalar bisections agree, generator state too."""
+    vector = bisect_outcome(graph, "vector", **kwargs)
+    assert_same_outcome(bisect_outcome(graph, "scalar", **kwargs), vector)
+    with monkeypatch.context() as mp:
+        if ladder_available() and graph.num_vertices >= 2:
+            python_ladder_refused(mp)
+        native = bisect_outcome(graph, "native", **kwargs)
+    assert_same_outcome(native, vector)
+
+
+@pytest.mark.parametrize("graph_name", sorted(LADDER_GRAPHS))
+@pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.MT19937))
+def test_bisect_ladder_matches_twins(monkeypatch, graph_name, bit_generator):
+    assert_bisect_tiers_match(
+        monkeypatch, LADDER_GRAPHS[graph_name], bit_generator=bit_generator
+    )
+
+
+@st.composite
+def ladder_inputs(draw):
+    """A graph (random, star or components), integer weights, targets."""
+    n = draw(st.integers(2, 90))
+    shape = draw(st.sampled_from(("random", "star", "components")))
+    if shape == "star":
+        edges = [(0, v) for v in range(1, n) if draw(st.booleans())]
+    elif shape == "components":
+        size = draw(st.integers(1, 12))
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, min(n, u + size))
+            if u // size == v // size and draw(st.integers(0, 3)) == 0
+        ]
+    else:
+        edges = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=4 * n,
+            )
+        )
+    weights = None
+    if edges and draw(st.booleans()):
+        weights = [
+            float(w)
+            for w in draw(
+                st.lists(
+                    st.integers(1, 6), min_size=len(edges),
+                    max_size=len(edges),
+                )
+            )
+        ]
+    graph = from_edges(n, edges, weights=weights)
+    vertex_weights = None
+    if draw(st.booleans()):
+        vertex_weights = np.array(
+            draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+            dtype=np.float64,
+        )
+    return {
+        "graph": graph,
+        "vertex_weights": vertex_weights,
+        "target_fraction": draw(st.floats(0.05, 0.95)),
+        "imbalance": draw(st.floats(0.0, 0.6)),
+        "bit_generator": draw(
+            st.sampled_from((np.random.PCG64, np.random.MT19937))
+        ),
+    }
+
+
+@given(inputs=ladder_inputs())
+@settings(max_examples=60, deadline=None)
+def test_bisect_ladder_matches_twins_random(inputs):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        graph = inputs.pop("graph")
+        assert_bisect_tiers_match(monkeypatch, graph, **inputs)
+
+
+def partition_outcomes(graph, engine, num_parts, bit_generator):
+    rng = np.random.Generator(bit_generator(5))
+    with use_engine(engine):
+        result = partition_graph(graph, num_parts, seed=rng)
+        split = vertex_separator(graph, seed=rng)
+    return (
+        result.assignment, result.cut,
+        split.left, split.right, split.separator,
+        rng.bit_generator.state,
+    )
+
+
+@pytest.mark.parametrize("graph_name", sorted(LADDER_GRAPHS))
+@pytest.mark.parametrize("num_parts", (2, 5))
+def test_partition_and_separator_match_twins(graph_name, num_parts):
+    graph = LADDER_GRAPHS[graph_name]
+    outcomes = [
+        partition_outcomes(graph, engine, num_parts, np.random.MT19937)
+        for engine in TIERS
+    ]
+    for other in outcomes[1:]:
+        for x, y in zip(outcomes[0][:-1], other[:-1]):
+            assert np.array_equal(x, y)
+        assert native_fm._same_state(outcomes[0][-1], other[-1])
+
+
+@given(inputs=ladder_inputs(), num_parts=st.integers(2, 7))
+@settings(max_examples=25, deadline=None)
+def test_partition_and_separator_match_twins_random(inputs, num_parts):
+    graph, bit_generator = inputs["graph"], inputs["bit_generator"]
+    native = partition_outcomes(graph, "native", num_parts, bit_generator)
+    vector = partition_outcomes(graph, "vector", num_parts, bit_generator)
+    for x, y in zip(native[:-1], vector[:-1]):
+        assert np.array_equal(x, y)
+    assert native_fm._same_state(native[-1], vector[-1])
+
+
+@pytest.mark.parametrize("scheme_name", ("metis", "nested_dissection"))
+@pytest.mark.parametrize("graph_name", sorted(LADDER_GRAPHS))
+def test_partition_orderings_match_all_tiers(scheme_name, graph_name):
+    graph = LADDER_GRAPHS[graph_name]
+    results = [
+        order_with(scheme_name, graph, engine) for engine in TIERS
+    ]
+    for other in results[1:]:
+        assert np.array_equal(results[0].permutation, other.permutation)
+        assert results[0].cost == other.cost
+
+
+@pytest.mark.parametrize("scheme_name", ("metis", "nested_dissection"))
+@given(inputs=ladder_inputs())
+@settings(max_examples=15, deadline=None)
+def test_partition_orderings_match_twins_random(scheme_name, inputs):
+    graph = inputs["graph"]
+    native = order_with(scheme_name, graph, "native")
+    vector = order_with(scheme_name, graph, "vector")
+    assert np.array_equal(native.permutation, vector.permutation)
+    assert native.cost == vector.cost
+
+
+@pytest.mark.parametrize(
+    "case",
+    ("fractional edge", "fractional vertex", "huge edge", "huge vertex"),
+)
+def test_bisect_ladder_declines_inexact_weights(monkeypatch, case):
+    if not ladder_available():
+        pytest.skip("partition_fm kernel unavailable")
+    base = LADDER_GRAPHS["weighted"]
+    edge_w = base.weights.copy()
+    vertex_weights = np.ones(base.num_vertices)
+    if case == "fractional edge":
+        edge_w[::7] += 0.5
+    elif case == "fractional vertex":
+        vertex_weights[3] = 1.25
+    elif case == "huge edge":
+        edge_w[:] = 2.0**52  # integral, but the sum passes 2**53
+    else:
+        vertex_weights[7] = 2.0**53
+    graph = CSRGraph(base.indptr, base.indices, edge_w)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    declined = native_fm.bisect_ladder(graph, vertex_weights, 0.5, 0.1, rng)
+    assert declined is None
+    # declined before any draw
+    assert native_fm._same_state(rng.bit_generator.state, before)
+    assert_same_outcome(
+        bisect_outcome(graph, "native", vertex_weights=vertex_weights),
+        bisect_outcome(graph, "vector", vertex_weights=vertex_weights),
+    )
+
+
+@given(
+    script=st.lists(
+        st.one_of(
+            st.tuples(st.just(0), st.integers(0, 300)),
+            st.tuples(
+                st.just(1),
+                st.one_of(
+                    st.integers(1, 70), st.integers(1, 2**32),
+                    st.sampled_from((2**31 + 1, 3 * 2**30, 2**32)),
+                ),
+            ),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**32),
+    bit_generator=st.sampled_from((np.random.PCG64, np.random.MT19937)),
+)
+@settings(max_examples=40, deadline=None)
+def test_rng_replicas_match_numpy(script, seed, bit_generator):
+    """permutation/integers replicas: same draws, same final state."""
+    lib = native_fm.KERNEL.lib()
+    if lib is None:
+        pytest.skip("partition_fm kernel unavailable")
+    ops = np.array(script, dtype=np.int64)
+    native = np.random.Generator(bit_generator(seed))
+    reference = np.random.Generator(bit_generator(seed))
+    expected = native_fm._numpy_draws(reference, ops)
+    got = native_fm._native_draws(lib, native, ops, expected.size)
+    assert np.array_equal(got, expected)
+    assert native_fm._same_state(
+        native.bit_generator.state, reference.bit_generator.state
+    )
+
+
+def test_probe_accepts_numpy_generators():
+    if not ladder_available():
+        pytest.skip("partition_fm kernel unavailable")
+    lib = native_fm.KERNEL.lib()
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        rng = np.random.Generator(bit_generator(2))
+        before = rng.bit_generator.state
+        assert native_fm._probe(lib, rng)
+        # the probe draws from copies only
+        assert native_fm._same_state(rng.bit_generator.state, before)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import use_engine
 from repro.graph import from_edges
 from repro.partition import (
     bisect,
@@ -14,6 +17,7 @@ from repro.partition import (
     partition_weights,
     vertex_separator,
 )
+from repro.partition.initial import _grow_one, _grow_one_scalar
 from tests.conftest import (
     make_clique,
     make_grid,
@@ -150,3 +154,117 @@ class TestSeparator:
     def test_empty_graph(self):
         sep = vertex_separator(from_edges(0, []))
         assert sep.separator.size == 0
+
+
+TIERS = ("native", "vector", "scalar")
+
+#: (bisect keyword arguments, error-message fragment); ``n`` = 10.
+BAD_BISECT_INPUTS = {
+    "short weights": ({"vertex_weights": np.ones(5)}, "length 10"),
+    "2-d weights": ({"vertex_weights": np.ones((10, 1))}, "1-d"),
+    "negative weight": (
+        {"vertex_weights": np.r_[np.ones(9), -1.0]}, "non-negative",
+    ),
+    "nan weight": ({"vertex_weights": np.r_[np.ones(9), np.nan]}, "finite"),
+    "inf weight": ({"vertex_weights": np.r_[np.ones(9), np.inf]}, "finite"),
+    "zero fraction": ({"target_fraction": 0.0}, "target_fraction"),
+    "unit fraction": ({"target_fraction": 1.0}, "target_fraction"),
+    "fraction above one": ({"target_fraction": 1.5}, "target_fraction"),
+    "nan fraction": ({"target_fraction": float("nan")}, "target_fraction"),
+    "negative imbalance": ({"imbalance": -0.5}, "imbalance"),
+    "nan imbalance": ({"imbalance": float("nan")}, "imbalance"),
+}
+
+
+class TestInputValidation:
+    """Malformed partitioner inputs raise ValueError before any tier runs."""
+
+    @pytest.mark.parametrize("engine", TIERS)
+    @pytest.mark.parametrize("case", sorted(BAD_BISECT_INPUTS))
+    def test_bisect_rejects(self, engine, case, two_cliques):
+        kwargs, message = BAD_BISECT_INPUTS[case]
+        with use_engine(engine):
+            with pytest.raises(ValueError, match=message):
+                bisect(two_cliques, **kwargs)
+
+    @pytest.mark.parametrize("engine", TIERS)
+    @pytest.mark.parametrize(
+        "case",
+        sorted(
+            case for case, (kwargs, _) in BAD_BISECT_INPUTS.items()
+            if "target_fraction" not in kwargs
+        ),
+    )
+    def test_partition_graph_rejects(self, engine, case, two_cliques):
+        kwargs, message = BAD_BISECT_INPUTS[case]
+        with use_engine(engine):
+            with pytest.raises(ValueError, match=message):
+                partition_graph(two_cliques, 3, **kwargs)
+
+    def test_rejects_before_drawing(self, two_cliques):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            bisect(two_cliques, vertex_weights=np.ones(3), seed=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_valid_edge_values_accepted(self, engine, two_cliques):
+        weights = np.r_[np.zeros(5), np.ones(5)]
+        with use_engine(engine):
+            bisect(two_cliques, vertex_weights=weights, imbalance=0.0)
+            bisect(two_cliques, target_fraction=0.01)
+            partition_graph(two_cliques, 3, vertex_weights=weights)
+
+
+def _grow_one_rescanning(graph, vertex_weights, rng, target):
+    """The top-up loop as first written: rescan part 1 before each pick."""
+    n = graph.num_vertices
+    part = np.ones(n, dtype=np.int64)
+    seed = int(rng.integers(n))
+    grown = _grow_one_scalar(graph, vertex_weights, part, seed, target)
+    if not (part == 0).any():
+        part[seed] = 0
+    elif grown == 0.0:
+        part[seed] = 0
+    while grown < target:
+        remaining = np.flatnonzero(part == 1)
+        if remaining.size <= 1:
+            break
+        v = int(remaining[rng.integers(remaining.size)])
+        part[v] = 0
+        grown += float(vertex_weights[v])
+    return part
+
+
+@st.composite
+def disconnected_inputs(draw):
+    """Several small components plus isolated vertices, and a target."""
+    n = draw(st.integers(1, 60))
+    edges = [
+        (u, u + 1)
+        for u in range(n - 1)
+        if draw(st.integers(0, 2)) == 0
+    ]
+    graph = from_edges(n, edges)
+    vertex_weights = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    target = draw(st.floats(0.0, 1.0)) * float(vertex_weights.sum())
+    return graph, vertex_weights, target
+
+
+class TestGrowTopUp:
+    @given(inputs=disconnected_inputs(), seed=st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_rescanning_oracle(self, inputs, seed):
+        graph, vertex_weights, target = inputs
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        part = _grow_one(graph, vertex_weights, rng, target)
+        expected = _grow_one_rescanning(
+            graph, vertex_weights, oracle_rng, target
+        )
+        assert np.array_equal(part, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state

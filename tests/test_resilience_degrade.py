@@ -8,6 +8,7 @@ visible in the health report instead of crashing (or vanishing).
 """
 
 import json
+import os
 import types
 
 import numpy as np
@@ -15,12 +16,14 @@ import pytest
 
 from repro._native import core as native_core
 from repro._native import counting as native_counting
+from repro._native import fm as native_fm
 from repro._native import louvain as native_louvain
 from repro._native import replay as native_replay
 from repro.community import louvain
 from repro.engine import use_engine
 from repro.graph import shm
 from repro.ordering import OrderingStore, get_scheme
+from repro.partition import bisect
 from repro.resilience import degrade, faults
 from repro.resilience.journal import RunJournal
 from repro.simulator.parallel import SimulatedMachine, WorkItem
@@ -404,6 +407,105 @@ class TestRegionReplayKernelFaults:
         _set_faults(monkeypatch, "native-runtime-fault:p=1")
         with pytest.raises(degrade.DegradationError, match="region_replay"):
             SimulatedMachine(2).run_dynamic(self._items())
+
+
+@pytest.fixture
+def ladder_kernel(monkeypatch):
+    """The real partition_fm kernel with a fresh generator probe."""
+    kernel = native_fm.KERNEL
+    kernel.reset()
+    monkeypatch.setattr(native_fm, "_PROBE_VERDICT", {})
+    yield kernel
+    kernel.reset()
+
+
+class TestPartitionLadderFaults:
+    """A faulted ``partition_fm`` kernel hands bisection to Python."""
+
+    GRAPH = random_graph(150, 600, seed=17)
+
+    def _outcome(self, engine):
+        """(assignment, cut, generator state) of one seeded bisection."""
+        rng = np.random.default_rng(23)
+        with use_engine(engine):
+            result = bisect(self.GRAPH, seed=rng)
+        return result.assignment, result.cut, rng.bit_generator.state
+
+    def _assert_python_result(self):
+        expected = self._outcome("vector")
+        result = self._outcome("native")
+        assert np.array_equal(result[0], expected[0])
+        assert result[1] == expected[1]
+        assert result[2] == expected[2]
+
+    def test_runtime_fault_falls_back_to_python(
+        self, monkeypatch, ladder_kernel
+    ):
+        if ladder_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        self._assert_python_result()
+        assert degrade.breaker_state(ladder_kernel.name).state == "open"
+        assert (
+            degrade.counters()["kernel.partition_fm:native-runtime-fault"]
+            >= 1
+        )
+
+    def test_build_fail_falls_back_to_python(
+        self, monkeypatch, ladder_kernel
+    ):
+        if os.environ.get("REPRO_NO_NATIVE"):
+            pytest.skip("REPRO_NO_NATIVE disables the build being failed")
+        # latch the other kernels' builds first, so the injected build
+        # failure cannot leave them unavailable for later tests
+        for name in native_core.kernel_names():
+            if name != ladder_kernel.name:
+                native_core.get_kernel(name).lib()
+        _set_faults(monkeypatch, "native-build-fail:p=1")
+        self._assert_python_result()
+        breaker = degrade.breaker_state(ladder_kernel.name)
+        assert breaker.state == "open"
+        assert breaker.kind == "native-build-fail"
+        assert (
+            degrade.counters()["kernel.partition_fm:native-build-fail"] == 1
+        )
+
+    def test_probe_mismatch_declines_for_the_process(
+        self, monkeypatch, ladder_kernel
+    ):
+        if ladder_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        numpy_draws = native_fm._numpy_draws
+
+        def skewed(rng, script):
+            draws = numpy_draws(rng, script)
+            draws[-1] += 1
+            return draws
+
+        monkeypatch.setattr(native_fm, "_numpy_draws", skewed)
+        self._assert_python_result()
+        breaker = degrade.breaker_state(ladder_kernel.name)
+        assert breaker.state == "open"
+        assert breaker.kind == "rng-probe-mismatch"
+        assert not native_fm._PROBE_VERDICT[np.random.PCG64]
+        assert native_fm.engine_label("native") == "vector"
+        # declined for the rest of the process: no second probe, same count
+        monkeypatch.setattr(native_fm, "_numpy_draws", numpy_draws)
+        for _ in range(40):  # past the breaker's cool-down
+            self._assert_python_result()
+        assert (
+            degrade.counters()["kernel.partition_fm:rng-probe-mismatch"] == 1
+        )
+        assert not degrade.health_report()["healthy"]
+
+    def test_strict_mode_raises(self, monkeypatch, ladder_kernel):
+        if ladder_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        monkeypatch.setenv(degrade.ENV_DEGRADE, "strict")
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        with use_engine("native"):
+            with pytest.raises(degrade.DegradationError, match="partition_fm"):
+                bisect(self.GRAPH, seed=1)
 
 
 # ---------------------------------------------------------------------------
