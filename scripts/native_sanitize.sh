@@ -11,7 +11,9 @@
 # instrumented .so is dlopen'd by ctypes after startup.  Sanitizer
 # output is steered to a scratch log_path directory and triaged by
 # `python -m repro.analysis --san-reports`, so a finding fails the leg
-# with its SUMMARY line instead of scrolling past on stderr.
+# with its SUMMARY line instead of scrolling past on stderr.  The log
+# directory is removed when the leg passes and kept, with its path
+# printed, when it fails.
 set -eu
 
 PROFILE="${1:-}"
@@ -65,4 +67,9 @@ status=0
 # exited 0 (a race in a passing test is still a race).
 "$PY" -m repro.analysis --san-reports "$LOGDIR" || status=1
 
+# The reports are the evidence: keep them when the leg fails.
+if [ "$status" -ne 0 ]; then
+    trap - EXIT
+    echo "== native-sanitize: leg failed; reports kept under $LOGDIR" >&2
+fi
 exit $status

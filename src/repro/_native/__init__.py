@@ -33,7 +33,10 @@ Kernels:
   routine, behind :mod:`repro.community.louvain` (:mod:`.louvain`);
 * ``region_replay`` — one whole simulated parallel region, schedule and
   per-access L1 → L2 → L3 walk, behind
-  :class:`repro.simulator.parallel.SimulatedMachine` (:mod:`.replay`).
+  :class:`repro.simulator.parallel.SimulatedMachine` (:mod:`.replay`);
+* ``greedy_cover`` — one whole greedy max-coverage IMM seed selection,
+  vertex → RRR-set index included, behind
+  :func:`repro.apps.influence_max.greedy_seed_selection` (:mod:`.greedy`).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .core import (
     use_native_threads,
 )
 from . import (  # noqa: F401  (register)
-    counting, delta, fm, gorder, louvain, parse, replay, rrr,
+    counting, delta, fm, gorder, greedy, louvain, parse, replay, rrr,
 )
 
 __all__ = [
@@ -75,6 +78,7 @@ __all__ = [
     "delta",
     "fm",
     "gorder",
+    "greedy",
     "louvain",
     "parse",
     "replay",

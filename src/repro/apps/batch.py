@@ -38,6 +38,7 @@ __all__ = [
     "edge_coins_bulk",
     "sample_rrr_ic_pinned_batch",
     "greedy_seed_selection_vector",
+    "flatten_rrr_sets",
     "DEFAULT_BATCH_SIZE",
 ]
 
@@ -274,6 +275,31 @@ def sample_rrr_ic_pinned_batch(
     return out
 
 
+def flatten_rrr_sets(rrr_sets: list) -> tuple[np.ndarray, np.ndarray]:
+    """Set → member CSR of an RRR-set list: ``(members, offsets)``.
+
+    ``members`` concatenates every set's vertices as int64 and set ``s``
+    owns ``members[offsets[s]:offsets[s + 1]]``.  The one flattening
+    both the vector engine and the native ``greedy_cover`` kernel read.
+    """
+    offsets = np.zeros(len(rrr_sets) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(
+            (rrr.vertices.size for rrr in rrr_sets),
+            dtype=np.int64, count=len(rrr_sets),
+        ),
+        out=offsets[1:],
+    )
+    members = (
+        np.concatenate(
+            [np.asarray(rrr.vertices, dtype=np.int64) for rrr in rrr_sets]
+        )
+        if rrr_sets
+        else np.empty(0, dtype=np.int64)
+    )
+    return members, offsets
+
+
 @sanitize.guarded
 def greedy_seed_selection_vector(
     rrr_sets: list,
@@ -290,18 +316,11 @@ def greedy_seed_selection_vector(
     costs one ``argmax`` plus one segmented gather and ``bincount``
     instead of a Python rescan of every newly covered set.
     """
-    num_sets = len(rrr_sets)
-    sizes = np.asarray(
-        [rrr.vertices.size for rrr in rrr_sets], dtype=np.int64
+    member_verts, set_offsets = flatten_rrr_sets(rrr_sets)
+    num_sets = set_offsets.size - 1
+    set_ids = np.repeat(
+        np.arange(num_sets, dtype=np.int64), np.diff(set_offsets)
     )
-    member_verts = (
-        np.concatenate(
-            [np.asarray(rrr.vertices, dtype=np.int64) for rrr in rrr_sets]
-        )
-        if num_sets
-        else np.empty(0, dtype=np.int64)
-    )
-    set_ids = np.repeat(np.arange(num_sets, dtype=np.int64), sizes)
     counts = np.bincount(
         member_verts, minlength=num_vertices
     ).astype(np.int64)
@@ -312,9 +331,6 @@ def greedy_seed_selection_vector(
     vertex_sets = set_ids[by_vertex]
     vertex_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=vertex_indptr[1:])
-    # set -> vertices CSR.
-    set_offsets = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(sizes, out=set_offsets[1:])
 
     covered = np.zeros(num_sets, dtype=bool)
     seeds: list[int] = []

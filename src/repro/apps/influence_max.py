@@ -284,12 +284,21 @@ def greedy_seed_selection(
     Returns ``(seeds, covered_fraction, operations)`` where
     ``covered_fraction`` is the fraction of RRR sets hit by the seeds (the
     IMM spread estimate is ``n * covered_fraction``) and ``operations``
-    counts the work for the cost model.  Under the vector engine the
-    selection runs on CSR-encoded set membership
+    counts the work for the cost model.  Under the native engine the
+    whole selection is one ``greedy_cover`` C call
+    (:mod:`repro._native.greedy`); under the vector engine, or when the
+    kernel declines, it runs on CSR-encoded set membership
     (:func:`repro.apps.batch.greedy_seed_selection_vector`); the loop
     below is the retained scalar ground truth.
     """
-    if resolve_engine(engine) != "scalar":
+    tier = resolve_engine(engine)
+    if tier == "native":
+        from .._native import greedy as native_greedy
+
+        result = native_greedy.run(rrr_sets, num_vertices, k)
+        if result is not None:
+            return result
+    if tier != "scalar":
         from .batch import greedy_seed_selection_vector
 
         return greedy_seed_selection_vector(rrr_sets, num_vertices, k)

@@ -31,7 +31,7 @@ from ..ordering import HybridOrder, MinLAAnneal, MultilevelMinLA
 from ..simulator import hit_ratio_curve, lru_stack_distances
 from .experiments import ExperimentResult, _threads_for
 from .report import format_table
-from .runners import ordering_for, relabelled_graph
+from .runners import ordering_for, relabelled_graph, stored_ordering
 
 __all__ = [
     "kernel_study",
@@ -135,7 +135,7 @@ def hybrid_engine_sweep(
         data[ds] = {"grappolo_rcm": reference}
         for across, within in pairs:
             scheme = HybridOrder(across=across, within=within)
-            ordering = scheme.order(graph)
+            ordering = stored_ordering(scheme, graph)
             gap = average_gap(graph, ordering.permutation)
             key = f"{across}+{within}"
             data[ds][key] = gap
@@ -169,9 +169,11 @@ def minla_refinement(
             graph, ordering_for("grappolo", ds).permutation
         )
         scheme = MinLAAnneal(moves_per_vertex=30, seed=1)
-        annealed = average_gap(graph, scheme.order(graph).permutation)
+        annealed = average_gap(
+            graph, stored_ordering(scheme, graph).permutation
+        )
         multilevel = average_gap(
-            graph, MultilevelMinLA(seed=1).order(graph).permutation
+            graph, stored_ordering(MultilevelMinLA(seed=1), graph).permutation
         )
         data[ds] = {
             "start": start,

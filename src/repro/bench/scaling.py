@@ -23,6 +23,7 @@ from ..graph.generators import planted_partition
 from ..ordering import get_scheme
 from .experiments import ExperimentResult
 from .report import format_table
+from .runners import stored_ordering
 
 __all__ = ["ordering_effect_scaling"]
 
@@ -47,7 +48,7 @@ def ordering_effect_scaling(
         n = graph.num_vertices
         data[n] = {}
         for scheme_name in ("grappolo", "natural", "random"):
-            ordering = get_scheme(scheme_name).order(graph)
+            ordering = stored_ordering(get_scheme(scheme_name), graph)
             report = run_community_detection(
                 graph, ordering, num_threads=num_threads
             )

@@ -17,11 +17,11 @@ Internally edges accumulate in *chunked numpy buffers*: per-edge
 archived when full, and bulk :meth:`GraphBuilder.add_edge_array` calls
 archive their arrays directly — no Python lists, no ``tolist()`` round
 trips.  :meth:`GraphBuilder.build` finalises with two stable pair sorts
-that are engine-gated (:mod:`repro.engine`): the scalar/vector tiers run
-``np.lexsort`` and the native tier runs two passes of the BOBA-style
-``counting_sort`` kernel (an O(m) LSD radix sort over the vertex-id
-buckets), every tier bit-identical — including the float summation order
-of merged duplicate weights.
+that are engine-gated (:mod:`repro.engine`): the scalar and vector tiers
+share one ``np.lexsort`` and the native tier runs two passes of the
+BOBA-style ``counting_sort`` kernel (an O(m) LSD radix sort over the
+vertex-id buckets), every tier bit-identical — including the float
+summation order of merged duplicate weights.
 
 The builder also counts what canonicalisation removed (self-loops
 dropped, duplicate edges merged) and records the tallies on the built
@@ -45,12 +45,10 @@ _CHUNK = 1 << 15
 
 
 def _pair_order_scalar(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Ground-truth stable sort of pairs by ``(major, minor)``."""
-    return np.lexsort((minor, major))
+    """Ground-truth stable sort of pairs by ``(major, minor)``.
 
-
-def _pair_order_vector(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Vector-tier pair sort (same primitive as the scalar tier)."""
+    Also the vector tier: ``np.lexsort`` is already the array primitive.
+    """
     return np.lexsort((minor, major))
 
 
@@ -83,10 +81,7 @@ def _pair_order(
         order = _pair_order_native(major, minor, num_buckets)
         if order is not None:
             return order
-        return _pair_order_vector(major, minor)
-    if engine == "scalar":
-        return _pair_order_scalar(major, minor)
-    return _pair_order_vector(major, minor)
+    return _pair_order_scalar(major, minor)
 
 
 class GraphBuilder:

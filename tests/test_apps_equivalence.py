@@ -197,20 +197,26 @@ def _random_rrr_sets(rng, num_vertices, count):
 
 
 class TestGreedySeeding:
+    """Vector twin and native kernel against the scalar greedy loop."""
+
+    ENGINES = ("vector", "native")
+
+    def _assert_tiers_match(self, sets, n, k):
+        scalar = greedy_seed_selection(sets, n, k, engine="scalar")
+        assert greedy_seed_selection_vector(sets, n, k) == scalar
+        for engine in self.ENGINES:
+            assert greedy_seed_selection(sets, n, k, engine=engine) == scalar
+
     @pytest.mark.parametrize("k", [1, 4, 16, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scalar(self, k, seed):
         rng = np.random.default_rng(seed)
         n = 40
         sets = _random_rrr_sets(rng, n, 25)
-        scalar = greedy_seed_selection(sets, n, k, engine="scalar")
-        vector = greedy_seed_selection_vector(sets, n, k)
-        assert scalar == vector
+        self._assert_tiers_match(sets, n, k)
 
     def test_empty_sets(self):
-        assert greedy_seed_selection(
-            [], 10, 4, engine="scalar"
-        ) == greedy_seed_selection_vector([], 10, 4)
+        self._assert_tiers_match([], 10, 4)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -222,9 +228,7 @@ class TestGreedySeeding:
     def test_random_sets(self, n, count, k, seed):
         rng = np.random.default_rng(seed)
         sets = _random_rrr_sets(rng, n, count)
-        scalar = greedy_seed_selection(sets, n, k, engine="scalar")
-        vector = greedy_seed_selection_vector(sets, n, k)
-        assert scalar == vector
+        self._assert_tiers_match(sets, n, k)
 
 
 def _weighted_graph(n, m, seed):

@@ -54,6 +54,7 @@ KERNEL_NAMES = (
     "parse_edges",
     "louvain_sweep",
     "region_replay",
+    "greedy_cover",
 )
 
 #: kernels that fan work out over a pthread pool; each must declare a
@@ -703,6 +704,86 @@ def test_region_replay_declines_bad_input():
         assert result is None, name
     prefetch = HierarchyConfig(prefetch_next_line=True)
     assert native_replay.run(prefetch, 2, items) is None
+
+
+# ---------------------------------------------------------------------------
+# Greedy max-coverage: one IMM seed selection per kernel call
+# ---------------------------------------------------------------------------
+def greedy_sets(member_lists):
+    from repro.apps.influence_max import RRRSet
+
+    return [
+        RRRSet(root=0, vertices=np.asarray(m, dtype=np.int64),
+               edges_examined=0)
+        for m in member_lists
+    ]
+
+
+def greedy_outcome(sets, n, k, engine):
+    """A tier's ``(seeds, fraction, operations)``, or the error it raised."""
+    from repro.apps.influence_max import greedy_seed_selection
+
+    try:
+        return greedy_seed_selection(sets, n, k, engine=engine)
+    except (ValueError, IndexError) as exc:
+        return type(exc)
+
+
+def assert_greedy_tiers_match(member_lists, n, k):
+    from repro._native import greedy as native_greedy
+
+    sets = greedy_sets(member_lists)
+    scalar = greedy_outcome(sets, n, k, "scalar")
+    assert greedy_outcome(sets, n, k, "vector") == scalar
+    assert greedy_outcome(sets, n, k, "native") == scalar
+    if native_greedy.KERNEL.lib() is not None:
+        assert native_greedy.run(sets, n, k) == scalar
+
+
+GREEDY_CASES = {
+    "no sets": ([], 5, 3),
+    "no vertices": ([[], []], 0, 4),
+    "one vertex": ([[0], [], [0, 0]], 1, 3),
+    "empty sets only": ([[], [], []], 4, 2),
+    "all tied": ([[0], [1], [2], [3]], 4, 2),
+    "tie after cover": ([[0, 1], [1, 2], [2, 3], [3, 0]], 4, 4),
+    "repeats in a set": ([[2, 2, 2], [1, 1], [1]], 3, 3),
+    "k above n": ([[0, 1], [2], [1, 2]], 3, 50),
+    "k zero": ([[0, 1]], 2, 0),
+    "k negative": ([[0, 1]], 2, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GREEDY_CASES))
+def test_greedy_cover_matches_twins(case):
+    assert_greedy_tiers_match(*GREEDY_CASES[case])
+
+
+@st.composite
+def greedy_inputs(draw):
+    n = draw(st.integers(0, 14))
+    member = st.integers(0, n - 1) if n else st.nothing()
+    member_lists = draw(st.lists(
+        st.lists(member, max_size=8 if n else 0), max_size=30
+    ))
+    k = draw(st.integers(-1, n + 3))
+    return member_lists, n, k
+
+
+@given(inputs=greedy_inputs())
+@settings(max_examples=120, deadline=None)
+def test_greedy_cover_matches_twins_random(inputs):
+    assert_greedy_tiers_match(*inputs)
+
+
+@pytest.mark.parametrize("bad", (-1, 6))
+def test_greedy_cover_declines_out_of_range_member(bad):
+    from repro._native import greedy as native_greedy
+
+    sets = greedy_sets([[0, 1], [2, bad], [3]])
+    assert native_greedy.run(sets, 6, 2) is None
+    vector = greedy_outcome(sets, 6, 2, "vector")
+    assert greedy_outcome(sets, 6, 2, "native") == vector
 
 
 # ---------------------------------------------------------------------------

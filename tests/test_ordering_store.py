@@ -14,6 +14,9 @@ from repro.bench import runners
 from repro.datasets.registry import load
 from repro.graph import from_edges
 from repro.ordering import (
+    HybridOrder,
+    MinLAAnneal,
+    MultilevelMinLA,
     OrderingStore,
     RandomOrder,
     available_schemes,
@@ -94,10 +97,22 @@ def _cache_token_cases():
         yield pytest.param(name, marks=marks)
 
 
-@pytest.mark.parametrize("name", _cache_token_cases())
+#: the non-default configurations the extension benches store
+#: (``bench/extensions.py``); same gate, non-default constructor state.
+_BENCH_CONFIGS = {
+    "hybrid(gorder+rcm)": lambda: HybridOrder(across="gorder", within="rcm"),
+    "minla_anneal(bench)": lambda: MinLAAnneal(moves_per_vertex=30, seed=1),
+    "minla_multilevel(bench)": lambda: MultilevelMinLA(seed=1),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [*_cache_token_cases(), *sorted(_BENCH_CONFIGS)]
+)
 def test_cache_token_unchanged_by_order(name):
     """The store key a scheme reports must not depend on having run."""
-    scheme = get_scheme(name)
+    factory = _BENCH_CONFIGS.get(name)
+    scheme = factory() if factory is not None else get_scheme(name)
     before = scheme.cache_token()
     scheme.order(make_grid(6, 5))
     assert scheme.cache_token() == before

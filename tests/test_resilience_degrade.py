@@ -8,7 +8,6 @@ visible in the health report instead of crashing (or vanishing).
 """
 
 import json
-import os
 import types
 
 import numpy as np
@@ -17,8 +16,10 @@ import pytest
 from repro._native import core as native_core
 from repro._native import counting as native_counting
 from repro._native import fm as native_fm
+from repro._native import greedy as native_greedy
 from repro._native import louvain as native_louvain
 from repro._native import replay as native_replay
+from repro.apps.influence_max import RRRSet, greedy_seed_selection
 from repro.community import louvain
 from repro.engine import use_engine
 from repro.graph import shm
@@ -32,6 +33,22 @@ from tests.conftest import random_graph
 
 def _set_faults(monkeypatch, spec):
     monkeypatch.setenv("REPRO_FAULTS", spec)
+
+
+def _fail_build_of(monkeypatch, kernel):
+    """Arm an injected build failure that only ``kernel`` can hit.
+
+    The other kernels' builds are latched first, so the failure cannot
+    leave them unavailable for later tests.  ``REPRO_NO_NATIVE`` is
+    lifted afterwards: the injected fault fires in ``NativeKernel._build``
+    before any compile, so the build-failure path runs without a
+    compiler too.
+    """
+    for name in native_core.kernel_names():
+        if name != kernel.name:
+            native_core.get_kernel(name).lib()
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    _set_faults(monkeypatch, "native-build-fail:p=1")
 
 
 def _fake_kernel(name="fake_kernel", digest="00ab" + "0" * 60):
@@ -214,7 +231,7 @@ class TestKernelFaults:
     def test_build_fail_opens_breaker_and_falls_back(
         self, monkeypatch, counting_kernel
     ):
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        _fail_build_of(monkeypatch, counting_kernel)
         assert counting_kernel.lib() is None
         assert native_counting.run(KEYS, 3) is None  # caller's twin runs
         breaker = degrade.breaker_state(counting_kernel.name)
@@ -225,7 +242,7 @@ class TestKernelFaults:
     def test_build_info_reports_degraded(
         self, monkeypatch, counting_kernel
     ):
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        _fail_build_of(monkeypatch, counting_kernel)
         info = counting_kernel.build_info()
         assert info["degraded"] is True
         assert info["available"] is False
@@ -296,12 +313,7 @@ class TestLouvainKernelFaults:
         self, monkeypatch, louvain_kernel
     ):
         expected = self._vector_result()
-        # latch the other kernels' builds first, so the injected build
-        # failure cannot leave them unavailable for later tests
-        for name in native_core.kernel_names():
-            if name != louvain_kernel.name:
-                native_core.get_kernel(name).lib()
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        _fail_build_of(monkeypatch, louvain_kernel)
         with use_engine("native"):
             result = louvain(self.GRAPH)
         self._assert_same(result, expected)
@@ -385,12 +397,7 @@ class TestRegionReplayKernelFaults:
         self, monkeypatch, replay_kernel
     ):
         expected = self._python_outcomes(monkeypatch)
-        # latch the other kernels' builds first, so the injected build
-        # failure cannot leave them unavailable for later tests
-        for name in native_core.kernel_names():
-            if name != replay_kernel.name:
-                native_core.get_kernel(name).lib()
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        _fail_build_of(monkeypatch, replay_kernel)
         assert self._outcomes() == expected
         breaker = degrade.breaker_state(replay_kernel.name)
         assert breaker.state == "open"
@@ -454,14 +461,7 @@ class TestPartitionLadderFaults:
     def test_build_fail_falls_back_to_python(
         self, monkeypatch, ladder_kernel
     ):
-        if os.environ.get("REPRO_NO_NATIVE"):
-            pytest.skip("REPRO_NO_NATIVE disables the build being failed")
-        # latch the other kernels' builds first, so the injected build
-        # failure cannot leave them unavailable for later tests
-        for name in native_core.kernel_names():
-            if name != ladder_kernel.name:
-                native_core.get_kernel(name).lib()
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        _fail_build_of(monkeypatch, ladder_kernel)
         self._assert_python_result()
         breaker = degrade.breaker_state(ladder_kernel.name)
         assert breaker.state == "open"
@@ -506,6 +506,74 @@ class TestPartitionLadderFaults:
         with use_engine("native"):
             with pytest.raises(degrade.DegradationError, match="partition_fm"):
                 bisect(self.GRAPH, seed=1)
+
+
+@pytest.fixture
+def greedy_kernel():
+    """The real greedy_cover kernel, reset before and after the test."""
+    kernel = native_greedy.KERNEL
+    kernel.reset()
+    yield kernel
+    kernel.reset()
+
+
+class TestGreedyCoverFaults:
+    """A faulted ``greedy_cover`` kernel hands selection to the vector tier."""
+
+    N = 60
+
+    def _sets(self):
+        rng = np.random.default_rng(29)
+        return [
+            RRRSet(
+                root=0,
+                vertices=rng.integers(
+                    0, self.N, size=int(rng.integers(0, 12))
+                ),
+                edges_examined=0,
+            )
+            for _ in range(200)
+        ]
+
+    def _assert_vector_result(self):
+        sets = self._sets()
+        expected = greedy_seed_selection(sets, self.N, 8, engine="vector")
+        assert greedy_seed_selection(sets, self.N, 8, engine="native") == (
+            expected
+        )
+
+    def test_runtime_fault_falls_back_to_vector(
+        self, monkeypatch, greedy_kernel
+    ):
+        if greedy_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        self._assert_vector_result()
+        assert degrade.breaker_state(greedy_kernel.name).state == "open"
+        assert (
+            degrade.counters()["kernel.greedy_cover:native-runtime-fault"]
+            >= 1
+        )
+
+    def test_build_fail_falls_back_to_vector(
+        self, monkeypatch, greedy_kernel
+    ):
+        _fail_build_of(monkeypatch, greedy_kernel)
+        self._assert_vector_result()
+        breaker = degrade.breaker_state(greedy_kernel.name)
+        assert breaker.state == "open"
+        assert breaker.kind == "native-build-fail"
+        assert (
+            degrade.counters()["kernel.greedy_cover:native-build-fail"] == 1
+        )
+
+    def test_strict_mode_raises(self, monkeypatch, greedy_kernel):
+        if greedy_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        monkeypatch.setenv(degrade.ENV_DEGRADE, "strict")
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        with pytest.raises(degrade.DegradationError, match="greedy_cover"):
+            greedy_seed_selection(self._sets(), self.N, 8, engine="native")
 
 
 # ---------------------------------------------------------------------------
