@@ -1,8 +1,8 @@
 # Convenience targets for the reproduction.
 
 .PHONY: install test lint clint test-sanitize test-faults test-asan \
-	test-ubsan test-tsan bench bench-paper bench-ablations bench-perf \
-	bench-native bench-threads examples clean
+	test-ubsan bench bench-paper bench-ablations bench-perf \
+	bench-native examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -33,15 +33,6 @@ test-ubsan:
 	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py \
 		$(PARTITION_TESTS)
 
-# The race gate: threaded kernels (parse/counting/rrr/delta) under
-# ThreadSanitizer with a multi-thread ambient default; the
-# thread-invariance tests inside sweep 1-8 workers.  Contract 6
-# (native-tsan-gate) statically checks every threaded kernel is
-# reachable from a test this leg runs.
-test-tsan:
-	REPRO_NATIVE_THREADS=4 sh scripts/native_sanitize.sh tsan -x -q \
-		tests/test_native_kernels.py tests/test_ingest.py
-
 test-sanitize:
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \
 		tests/test_engine_equivalence.py tests/test_apps_equivalence.py \
@@ -69,11 +60,7 @@ bench-perf:
 	PYTHONPATH=src python -m repro.bench.perf --check
 	PYTHONPATH=src python -m repro.bench.perf --orderings --check
 	PYTHONPATH=src python -m repro.bench.perf --apps --check
-	PYTHONPATH=src python -m repro.bench.perf --threads --check
 	PYTHONPATH=src python -m repro.bench.perf --ingest --check
-
-bench-threads:
-	PYTHONPATH=src python -m repro.bench.perf --threads --check
 
 bench-native:
 	PYTHONPATH=src python -m repro.bench --native-info

@@ -7,12 +7,8 @@ compiler is available and ``REPRO_NO_NATIVE`` is unset — is a
 bit-identical escalation.  Kernels declare their scalar twin and their
 vector twin, or ``None`` when the fallback steps straight to the scalar
 loop (verified statically by :mod:`repro.analysis.contracts`), and
-report their build status through :func:`build_info_all`.
-
-Thread-parallel kernels (``threaded=True``) additionally declare a
-``serial_twin`` and obey the hard contract that results are
-bit-identical for every ``REPRO_NATIVE_THREADS`` value
-(:func:`native_threads`).
+report their build status through :func:`build_info_all`.  Every
+kernel runs serially on the calling thread.
 
 Kernels:
 
@@ -21,13 +17,13 @@ Kernels:
 * ``partition_fm`` — one whole multilevel bisection (matching,
   contraction, growing, FM refinement) for nested dissection / METIS,
   drawing from the caller's numpy generator (:mod:`.fm`);
-* ``delta_scan`` — delta-stepping bucket relaxation, threaded over each
-  scan's edge list with an ordered merge (:mod:`.delta`);
-* ``rrr_sample`` — hash-pinned IC reverse-BFS cascades, threaded over
-  independent sample indices (:mod:`.rrr`);
-* ``counting_sort`` — BOBA-style stable counting sort behind the
-  degree-driven lightweight orderings (:mod:`.counting`);
-* ``parse_edges`` — sharded two-pass edge-list byte parser behind
+* ``delta_scan`` — the whole delta-stepping bucket relaxation
+  (:mod:`.delta`);
+* ``rrr_sample`` — hash-pinned IC reverse-BFS cascades, one chunk of
+  sample indices per call (:mod:`.rrr`);
+* ``counting_sort`` — stable counting sort behind the degree-driven
+  lightweight orderings (:mod:`.counting`);
+* ``parse_edges`` — two-pass edge-list byte parser behind
   :func:`repro.graph.io.read_edge_list` (:mod:`.parse`);
 * ``louvain_sweep`` — one full greedy Louvain sweep, Grappolo's hot
   routine, behind :mod:`repro.community.louvain` (:mod:`.louvain`);
@@ -42,7 +38,6 @@ Kernels:
 from __future__ import annotations
 
 from .core import (
-    MAX_THREADS,
     SANITIZE_PROFILES,
     NativeBuildError,
     NativeKernel,
@@ -51,10 +46,7 @@ from .core import (
     collect_sanitizer_reports,
     get_kernel,
     kernel_names,
-    native_threads,
     sanitize_profile,
-    set_thread_cap,
-    use_native_threads,
 )
 from . import (  # noqa: F401  (register)
     counting, delta, fm, gorder, greedy, louvain, parse, replay, rrr,
@@ -68,12 +60,8 @@ __all__ = [
     "collect_sanitizer_reports",
     "get_kernel",
     "kernel_names",
-    "native_threads",
     "sanitize_profile",
-    "set_thread_cap",
-    "use_native_threads",
     "SANITIZE_PROFILES",
-    "MAX_THREADS",
     "counting",
     "delta",
     "fm",

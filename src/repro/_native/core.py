@@ -15,14 +15,8 @@ build cache, one fallback gate, and one reporting surface:
   reprolint contracts checker verifies statically;
 * every dispatch goes through :func:`guarded`, which owns the circuit
   breaker and the injected runtime-fault seam;
-* kernels declared ``threaded=True`` are compiled with ``-pthread`` and
-  get the static fork-join worker-pool helper prepended to their source.
-  Threaded kernels additionally name a ``serial_twin`` — the Python
-  dispatch function that drives them — and obey the hard contract that
-  **results are bit-identical regardless of thread count** (the kernel
-  receives the thread count as an argument; sharding must be
-  deterministic by construction).  :func:`native_threads` is the single
-  sanctioned read of ``REPRO_NATIVE_THREADS``;
+* every kernel runs on the calling thread: the surrogate graphs are
+  too small for a fork-join to pay for itself (``docs/performance.md``);
 * :func:`build_info_all` reports per-kernel status (compiler, cache hit,
   fallback reason) for ``python -m repro.bench --version`` and the perf
   harness, so a silent fallback to pure Python cannot masquerade as a
@@ -38,13 +32,13 @@ per process.
 
 Sanitizer build profiles
 ------------------------
-``REPRO_NATIVE_SANITIZE=asan|ubsan|tsan`` (read through
+``REPRO_NATIVE_SANITIZE=asan|ubsan`` (read through
 :func:`sanitize_profile`, the single sanctioned accessor) switches every
 kernel to an instrumented build: ``-fsanitize=... -g -O1
 -fno-omit-frame-pointer`` with ``-Wall -Wextra -Werror`` so compiler
 warnings become hard findings.  Instrumented and ``-O3`` shared objects
 never collide because the profile participates in the cache key.  The
-``make test-asan`` / ``test-ubsan`` / ``test-tsan`` legs (via
+``make test-asan`` / ``test-ubsan`` legs (via
 ``scripts/native_sanitize.sh``) run the bit-identity suites under each
 profile and turn any sanitizer report into a structured failure via
 :func:`collect_sanitizer_reports`.
@@ -61,8 +55,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..resilience import degrade, faults
 
@@ -75,72 +68,22 @@ __all__ = [
     "build_info_all",
     "cache_dir",
     "native_threads",
-    "set_thread_cap",
-    "use_native_threads",
     "sanitize_profile",
     "collect_sanitizer_reports",
     "SANITIZE_PROFILES",
-    "MAX_THREADS",
 ]
 
 #: registry of every declared kernel, in declaration order.
 _KERNELS: dict[str, "NativeKernel"] = {}
 
-#: hard upper bound on worker threads (matches REPRO_MAX_THREADS in the
-#: C helper; the fork-join arrays are statically sized).
-MAX_THREADS = 64
-
-#: process-wide cap installed by pool workers (cores // jobs) so cell
-#: parallelism and kernel parallelism compose instead of oversubscribing.
-_thread_cap: int | None = None
-
-#: in-process override (perf harness / tests) — wins over the env knob.
-_thread_override: int | None = None
-
-
-def set_thread_cap(cap: int | None) -> None:
-    """Cap the default thread count (``None`` removes the cap).
-
-    Installed by supervised pool workers as ``max(1, cores // jobs)``.
-    An explicit ``REPRO_NATIVE_THREADS`` setting still wins — the cap
-    only bounds the ``os.cpu_count()`` default.
-    """
-    global _thread_cap
-    _thread_cap = None if cap is None else max(1, int(cap))
-
-
-@contextmanager
-def use_native_threads(count: int) -> Iterator[None]:
-    """Force the kernel thread count within a block (harness/tests)."""
-    global _thread_override
-    prev = _thread_override
-    _thread_override = max(1, min(MAX_THREADS, int(count)))
-    try:
-        yield
-    finally:
-        _thread_override = prev
-
 
 def native_threads() -> int:
-    """Worker threads for the next threaded-kernel invocation.
+    """Threads a native kernel runs on: always 1, the calling thread.
 
-    Resolution order: :func:`use_native_threads` override, then the
-    ``REPRO_NATIVE_THREADS`` environment knob, then ``os.cpu_count()``
-    bounded by any :func:`set_thread_cap` cap.  ``=1`` forces the serial
-    path inside the kernel; the result is bit-identical either way.
+    Kept for run provenance (perfbench records it as
+    ``kernel_threads``); no kernel reads it and no knob changes it.
     """
-    if _thread_override is not None:
-        return _thread_override
-    env = os.environ.get("REPRO_NATIVE_THREADS")
-    if env:
-        try:
-            return max(1, min(MAX_THREADS, int(env)))
-        except ValueError:
-            pass  # fall through to the default on a malformed knob
-    count = os.cpu_count() or 1
-    if _thread_cap is not None:
-        count = min(count, _thread_cap)
-    return max(1, min(MAX_THREADS, count))
+    return 1
 
 
 def cache_dir() -> str:
@@ -160,7 +103,6 @@ def cache_dir() -> str:
 SANITIZE_PROFILES: dict[str, tuple[str, ...]] = {
     "asan": ("-fsanitize=address",),
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=undefined"),
-    "tsan": ("-fsanitize=thread",),
 }
 
 
@@ -226,79 +168,6 @@ def _compiler_version(cc: Sequence[str]) -> str | None:
     return line[0].strip() if line else None
 
 
-#: Static fork-join helper prepended to every ``threaded=True`` kernel
-#: source.  The calling thread runs shard 0; a failed pthread_create
-#: degrades to running that shard inline, which is safe because shards
-#: are deterministic functions of (tid, nthreads) — never of which OS
-#: thread executes them.
-THREAD_POOL_HELPER = r"""
-#include <pthread.h>
-#include <stdint.h>
-
-enum { REPRO_MAX_THREADS = 64 };
-
-typedef void (*repro_task_fn)(void *arg, int64_t tid, int64_t nthreads);
-
-typedef struct {
-    repro_task_fn fn;
-    void *arg;
-    int64_t tid;
-    int64_t nthreads;
-} repro_task;
-
-static void *repro_task_trampoline(void *p)
-{
-    repro_task *t = (repro_task *)p;
-    t->fn(t->arg, t->tid, t->nthreads);
-    return NULL;
-}
-
-/* Run fn(arg, tid, nthreads) across nthreads shards and join.  The
- * caller's thread runs shard 0; nthreads <= 1 runs serially inline. */
-static void repro_parallel_for(repro_task_fn fn, void *arg,
-                               int64_t nthreads)
-{
-    if (nthreads > REPRO_MAX_THREADS)
-        nthreads = REPRO_MAX_THREADS;
-    if (nthreads <= 1) {
-        fn(arg, 0, 1);
-        return;
-    }
-    pthread_t threads[REPRO_MAX_THREADS];
-    repro_task tasks[REPRO_MAX_THREADS];
-    unsigned char started[REPRO_MAX_THREADS];
-    for (int64_t t = 1; t < nthreads; t++) {
-        tasks[t].fn = fn;
-        tasks[t].arg = arg;
-        tasks[t].tid = t;
-        tasks[t].nthreads = nthreads;
-        started[t] = pthread_create(&threads[t], NULL,
-                                    repro_task_trampoline,
-                                    &tasks[t]) == 0;
-    }
-    fn(arg, 0, nthreads);
-    for (int64_t t = 1; t < nthreads; t++) {
-        if (started[t])
-            pthread_join(threads[t], NULL);
-        else
-            fn(arg, t, nthreads);
-    }
-}
-
-/* Contiguous shard [lo, hi) of `count` items for thread `tid` — the one
- * sharding formula every threaded kernel uses, mirrored in Python when
- * a wrapper needs to decode per-shard output regions. */
-static void repro_shard(int64_t count, int64_t tid, int64_t nthreads,
-                        int64_t *lo, int64_t *hi)
-{
-    int64_t base = count / nthreads;
-    int64_t extra = count % nthreads;
-    *lo = tid * base + (tid < extra ? tid : extra);
-    *hi = *lo + base + (tid < extra ? 1 : 0);
-}
-"""
-
-
 class NativeKernel:
     """One lazily compiled C kernel with declared Python twins.
 
@@ -318,15 +187,6 @@ class NativeKernel:
         kernel falls back straight to its scalar twin.  The contracts
         checker (:mod:`repro.analysis.contracts`) resolves both
         statically, so a kernel cannot ship without its fallbacks.
-    threaded:
-        Compile with ``-pthread`` and prepend the static worker-pool
-        helper.  The kernel takes its thread count as an argument and
-        must produce bit-identical results for every value.
-    serial_twin:
-        Required when ``threaded=True``: ``"module:function"`` naming the
-        Python dispatch function that drives the kernel (and therefore
-        its ``nthreads=1`` serial path).  Checked statically by the same
-        contracts pass as the other twins.
     """
 
     def __init__(
@@ -337,24 +197,14 @@ class NativeKernel:
         symbols: Mapping[str, tuple[Sequence[object], object]],
         scalar_twin: str,
         vector_twin: str | None,
-        threaded: bool = False,
-        serial_twin: str | None = None,
     ) -> None:
         if name in _KERNELS:
             raise ValueError(f"native kernel {name!r} already registered")
-        if threaded and not serial_twin:
-            raise ValueError(
-                f"threaded kernel {name!r} must declare its serial_twin"
-            )
         self.name = name
-        self.source = (
-            THREAD_POOL_HELPER + source if threaded else source
-        )
+        self.source = source
         self.symbols = dict(symbols)
         self.scalar_twin = scalar_twin
         self.vector_twin = vector_twin
-        self.threaded = threaded
-        self.serial_twin = serial_twin
         self._lib: ctypes.CDLL | None = None
         self._tried = False
         self._status = "not built"
@@ -380,22 +230,18 @@ class NativeKernel:
         warnings to errors so a diagnosed kernel cannot ship silently.
         """
         if profile is None:
-            flags = ["-O3", "-fPIC", "-shared"]
-        else:
-            flags = [
-                "-g",
-                "-O1",
-                "-fno-omit-frame-pointer",
-                "-fPIC",
-                "-shared",
-                "-Wall",
-                "-Wextra",
-                "-Werror",
-                *SANITIZE_PROFILES[profile],
-            ]
-        if self.threaded:
-            flags.append("-pthread")
-        return flags
+            return ["-O3", "-fPIC", "-shared"]
+        return [
+            "-g",
+            "-O1",
+            "-fno-omit-frame-pointer",
+            "-fPIC",
+            "-shared",
+            "-Wall",
+            "-Wextra",
+            "-Werror",
+            *SANITIZE_PROFILES[profile],
+        ]
 
     def _so_path(self, profile: str | None) -> str:
         # cache key = (source digest, flags profile): a flags change —
@@ -576,8 +422,6 @@ class NativeKernel:
             "source_digest": self.source_digest,
             "scalar_twin": self.scalar_twin,
             "vector_twin": self.vector_twin,
-            "threaded": self.threaded,
-            "serial_twin": self.serial_twin,
             "degraded": False,
         }
         breaker = degrade.breaker_state(self.name)
@@ -662,11 +506,11 @@ def build_info_all() -> dict[str, dict]:
 def collect_sanitizer_reports(log_dir: str) -> list[dict]:
     """Parse sanitizer ``log_path`` report files into structured records.
 
-    The sanitize legs run pytest with ``ASAN_OPTIONS``/``TSAN_OPTIONS``/
-    ``UBSAN_OPTIONS`` pointing ``log_path`` at a scratch directory; each
-    runtime writes ``report.<pid>`` files there on a finding.  This turns
-    those files into ``{"file", "summary", "kind", "text"}`` records so
-    the gate fails with the actual diagnosis instead of silent stderr.
+    The sanitize legs run pytest with ``ASAN_OPTIONS``/``UBSAN_OPTIONS``
+    pointing ``log_path`` at a scratch directory; each runtime writes
+    ``report.<pid>`` files there on a finding.  This turns those files
+    into ``{"file", "summary", "kind", "text"}`` records so the gate
+    fails with the actual diagnosis instead of silent stderr.
     An empty list means the leg ran clean.
     """
     reports: list[dict] = []
@@ -692,7 +536,6 @@ def collect_sanitizer_reports(log_dir: str) -> list[dict]:
         )
         kind = "sanitizer"
         for marker, label in (
-            ("ThreadSanitizer", "tsan"),
             ("AddressSanitizer", "asan"),
             ("runtime error:", "ubsan"),
             ("UndefinedBehaviorSanitizer", "ubsan"),

@@ -7,18 +7,23 @@ index (:func:`repro.apps.influence_max._edge_coins`) — so cascades are a
 pure function of ``(graph content, sample index, seed)`` and totally
 independent of one another.
 
-That independence makes threading free: samples are sharded across
-worker threads with the shared contiguous-shard formula, each thread
-writes its cascades into a private region of the output arena, and the
-Python wrapper decodes regions with the same formula.  The decoded
-per-sample vertex arrays are bit-identical for every thread count.
+The kernel draws a chunk of samples in one call, appending each
+cascade to a shared output arena and recording its size; the Python
+wrapper slices the arena back into per-sample vertex arrays.  Three
+things keep the serial inner loop cheap: the sample-independent half of
+every edge's hash is computed once per call (``edge_key``), an already
+visited target skips its coin (the hash has no side effect), and the
+visited set is a byte mask that fits in L1 and is cleared per cascade.
 
 Bit-identity with the scalar BFS (the scalar twin) relies on two exact
 equivalences: C's uint64 arithmetic wraps exactly like the masked
 numpy/Python mix, and ``(double)x / 2^64`` performs the same
 round-to-nearest conversion as ``x.astype(np.float64) / float(2**64)``.
-The BFS itself appends level by level, first occurrence in adjacency
-order — the identical visit order.
+That conversion is monotone in ``x``, so ``coin < probability`` holds
+exactly on a prefix ``x < threshold`` of the uint64 range; the kernel
+finds the threshold once per call by bisection over the same expression
+and compares integers per edge.  The BFS itself appends level by level,
+first occurrence in adjacency order — the identical visit order.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import ctypes
 
 import numpy as np
 
-from .core import MAX_THREADS, NativeKernel, guarded, native_threads
+from .core import NativeKernel, guarded
 
 __all__ = ["KERNEL", "run"]
 
@@ -37,134 +42,103 @@ __all__ = ["KERNEL", "run"]
 _ARENA_BUDGET = 1 << 22
 
 _SOURCE = r"""
-typedef struct {
-    const int64_t *indptr;
-    const int64_t *indices;
-    const int64_t *original_of;
-    int64_t n;
-    double probability;
-    const int64_t *roots;
-    const int64_t *sample_indices;
-    int64_t num_samples;
-    uint64_t seed;
-    int64_t slot_base;       /* global slot of sample 0 (stamp salt) */
-    int64_t *out_vertices;   /* nthreads * region_cap */
-    int64_t region_cap;
-    int64_t *out_sizes;      /* num_samples */
-    int64_t *out_edges;      /* num_samples */
-    int64_t *stamps;         /* nthreads * n, zeroed by the caller */
-    int64_t overflow[REPRO_MAX_THREADS];
-} rrr_job;
+#include <stdint.h>
 
-static void rrr_shard(void *argp, int64_t tid, int64_t nthreads)
+static int coin_passes(uint64_t x, double probability)
 {
-    rrr_job *job = (rrr_job *)argp;
-    int64_t s_lo, s_hi;
-    repro_shard(job->num_samples, tid, nthreads, &s_lo, &s_hi);
-    int64_t *out = job->out_vertices + tid * job->region_cap;
-    int64_t *stamps = job->stamps + tid * job->n;
-    const double probability = job->probability;
-    int64_t pos = 0;
-    for (int64_t s = s_lo; s < s_hi; s++) {
-        const int64_t stamp = job->slot_base + s + 1;
-        const uint64_t salt =
-            (uint64_t)job->sample_indices[s] * 0x94D049BB133111EBULL
-            + job->seed * 0xD6E8FEB86659FD93ULL;
-        const int64_t base = pos;
-        if (pos >= job->region_cap) {
-            job->overflow[tid] = 1;
-            return;
-        }
-        const int64_t root = job->roots[s];
-        stamps[root] = stamp;
-        out[pos++] = root;
-        int64_t level_lo = 0;
-        int64_t level_hi = 1;
-        int64_t edges = 0;
-        while (level_lo < level_hi) {
-            for (int64_t i = level_lo; i < level_hi; i++) {
-                const int64_t u = out[base + i];
-                const int64_t e_lo = job->indptr[u];
-                const int64_t e_hi = job->indptr[u + 1];
-                edges += e_hi - e_lo;
-                const uint64_t ou = (uint64_t)job->original_of[u];
-                for (int64_t e = e_lo; e < e_hi; e++) {
-                    const int64_t v = job->indices[e];
-                    const uint64_t ov = (uint64_t)job->original_of[v];
-                    const uint64_t a = ou < ov ? ou : ov;
-                    const uint64_t b = ou < ov ? ov : ou;
-                    uint64_t x = a * 0x9E3779B97F4A7C15ULL
-                               + b * 0xBF58476D1CE4E5B9ULL + salt;
-                    x ^= x >> 30;
-                    x *= 0xBF58476D1CE4E5B9ULL;
-                    x ^= x >> 27;
-                    x *= 0x94D049BB133111EBULL;
-                    x ^= x >> 31;
-                    const double coin =
-                        (double)x / 18446744073709551616.0;
-                    if (coin < probability && stamps[v] != stamp) {
-                        stamps[v] = stamp;
-                        if (pos >= job->region_cap) {
-                            job->overflow[tid] = 1;
-                            return;
-                        }
-                        out[pos++] = v;
-                    }
-                }
-            }
-            level_lo = level_hi;
-            level_hi = pos - base;
-        }
-        job->out_sizes[s] = pos - base;
-        job->out_edges[s] = edges;
-    }
+    return (double)x / 18446744073709551616.0 < probability;
 }
 
 int64_t rrr_sample(const int64_t *indptr,
                    const int64_t *indices,
                    const int64_t *original_of,
                    int64_t n,
+                   uint64_t *edge_key,     /* indptr[n], scratch */
                    double probability,
                    const int64_t *roots,
                    const int64_t *sample_indices,
                    int64_t num_samples,
                    uint64_t seed,
-                   int64_t slot_base,
-                   int64_t *out_vertices,
-                   int64_t region_cap,
-                   int64_t *out_sizes,
-                   int64_t *out_edges,
-                   int64_t *stamps,
-                   int64_t nthreads)
+                   int64_t *out_vertices,  /* arena_cap */
+                   int64_t arena_cap,
+                   int64_t *out_sizes,     /* num_samples */
+                   int64_t *out_edges,     /* num_samples */
+                   uint8_t *visited)       /* n, zeroed by the caller */
 {
-    rrr_job job;
-    job.indptr = indptr;
-    job.indices = indices;
-    job.original_of = original_of;
-    job.n = n;
-    job.probability = probability;
-    job.roots = roots;
-    job.sample_indices = sample_indices;
-    job.num_samples = num_samples;
-    job.seed = seed;
-    job.slot_base = slot_base;
-    job.out_vertices = out_vertices;
-    job.region_cap = region_cap;
-    job.out_sizes = out_sizes;
-    job.out_edges = out_edges;
-    job.stamps = stamps;
-    if (nthreads > num_samples)
-        nthreads = num_samples > 0 ? num_samples : 1;
-    if (nthreads > REPRO_MAX_THREADS)
-        nthreads = REPRO_MAX_THREADS;
-    if (nthreads < 1)
-        nthreads = 1;
-    for (int64_t t = 0; t < nthreads; t++)
-        job.overflow[t] = 0;
-    repro_parallel_for(rrr_shard, &job, nthreads);
-    for (int64_t t = 0; t < nthreads; t++)
-        if (job.overflow[t])
+    /* The sample-independent half of each edge's coin hash: a function
+     * of the edge's original endpoint ids only, so it is computed once
+     * per call instead of once per (edge, sample). */
+    for (int64_t u = 0; u < n; u++) {
+        const uint64_t ou = (uint64_t)original_of[u];
+        for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            const uint64_t ov = (uint64_t)original_of[indices[e]];
+            const uint64_t a = ou < ov ? ou : ov;
+            const uint64_t b = ou < ov ? ov : ou;
+            edge_key[e] = a * 0x9E3779B97F4A7C15ULL
+                        + b * 0xBF58476D1CE4E5B9ULL;
+        }
+    }
+    /* coin_passes is monotone in x (the uint64 -> double conversion
+     * rounds monotonically), so it holds exactly for x < threshold, or
+     * for every x when it holds at UINT64_MAX. */
+    const int all_pass = coin_passes(UINT64_MAX, probability);
+    uint64_t threshold = 0, hi = UINT64_MAX;
+    while (threshold < hi) {
+        const uint64_t mid = threshold + (hi - threshold) / 2;
+        if (coin_passes(mid, probability))
+            threshold = mid + 1;
+        else
+            hi = mid;
+    }
+    int64_t pos = 0;
+    for (int64_t s = 0; s < num_samples; s++) {
+        const uint64_t salt =
+            (uint64_t)sample_indices[s] * 0x94D049BB133111EBULL
+            + seed * 0xD6E8FEB86659FD93ULL;
+        const int64_t base = pos;
+        if (pos >= arena_cap)
             return -1;
+        const int64_t root = roots[s];
+        visited[root] = 1;
+        out_vertices[pos++] = root;
+        int64_t level_lo = 0;
+        int64_t level_hi = 1;
+        int64_t edges = 0;
+        while (level_lo < level_hi) {
+            for (int64_t i = level_lo; i < level_hi; i++) {
+                const int64_t u = out_vertices[base + i];
+                const int64_t e_lo = indptr[u];
+                const int64_t e_hi = indptr[u + 1];
+                edges += e_hi - e_lo;
+                for (int64_t e = e_lo; e < e_hi; e++) {
+                    const int64_t v = indices[e];
+                    /* a visited target needs no coin: the hash has no
+                     * side effect, so skipping it changes nothing */
+                    if (visited[v])
+                        continue;
+                    uint64_t x = edge_key[e] + salt;
+                    x ^= x >> 30;
+                    x *= 0xBF58476D1CE4E5B9ULL;
+                    x ^= x >> 27;
+                    x *= 0x94D049BB133111EBULL;
+                    x ^= x >> 31;
+                    if (x < threshold || all_pass) {
+                        visited[v] = 1;
+                        if (pos >= arena_cap)
+                            return -1;
+                        out_vertices[pos++] = v;
+                    }
+                }
+            }
+            level_lo = level_hi;
+            level_hi = pos - base;
+        }
+        /* leave the mask zeroed for the next cascade */
+        for (int64_t i = base; i < pos; i++)
+            visited[out_vertices[i]] = 0;
+        out_sizes[s] = pos - base;
+        out_edges[s] = edges;
+    }
     return 0;
 }
 """
@@ -181,39 +155,24 @@ KERNEL = NativeKernel(
                 _P_I64,  # indices
                 _P_I64,  # original_of
                 ctypes.c_int64,  # n
+                ctypes.POINTER(ctypes.c_uint64),  # edge_key
                 ctypes.c_double,  # probability
                 _P_I64,  # roots
                 _P_I64,  # sample_indices
                 ctypes.c_int64,  # num_samples
                 ctypes.c_uint64,  # seed
-                ctypes.c_int64,  # slot_base
                 _P_I64,  # out_vertices
-                ctypes.c_int64,  # region_cap
+                ctypes.c_int64,  # arena_cap
                 _P_I64,  # out_sizes
                 _P_I64,  # out_edges
-                _P_I64,  # stamps
-                ctypes.c_int64,  # nthreads
+                ctypes.POINTER(ctypes.c_uint8),  # visited
             ],
             ctypes.c_int64,
         ),
     },
     scalar_twin="repro.apps.influence_max:sample_rrr_ic_pinned",
     vector_twin="repro.apps.batch:sample_rrr_ic_pinned_batch",
-    threaded=True,
-    serial_twin="repro.apps.batch:_sample_rrr_native",
 )
-
-
-def _shard_bounds(count: int, nthreads: int) -> list[tuple[int, int]]:
-    """Python mirror of the C ``repro_shard`` formula."""
-    base, extra = divmod(count, nthreads)
-    bounds = []
-    lo = 0
-    for tid in range(nthreads):
-        hi = lo + base + (1 if tid < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 @guarded(KERNEL)
@@ -228,9 +187,8 @@ def run(
     """All cascades as ``(vertices, edges_examined)`` pairs, or None.
 
     Returns None when the kernel is unavailable so the caller falls
-    through to the batched vector sampler.  Output is independent of the
-    thread count: samples are processed in bounded-arena chunks, each
-    chunk sharded contiguously, each shard writing a private region.
+    through to the batched vector sampler.  Samples are processed in
+    bounded-arena chunks of one kernel call each.
     """
     native = KERNEL.lib()
     if native is None:
@@ -246,17 +204,17 @@ def run(
     original = np.ascontiguousarray(original_of, dtype=np.int64)
     roots_arr = np.ascontiguousarray(roots, dtype=np.int64)
     samples_arr = np.ascontiguousarray(sample_indices, dtype=np.int64)
-    nthreads = max(1, min(native_threads(), MAX_THREADS, num_samples))
-    chunk_size = max(nthreads, min(num_samples, _ARENA_BUDGET // n))
-    stamps = np.zeros(nthreads * n, dtype=np.int64)
+    chunk_size = max(1, min(num_samples, _ARENA_BUDGET // n))
+    visited = np.zeros(n, dtype=np.uint8)
+    edge_key = np.empty(indices.size, dtype=np.uint64)
     p_i64 = ctypes.POINTER(ctypes.c_int64)
+    p_u64 = ctypes.POINTER(ctypes.c_uint64)
     results: list[tuple[np.ndarray, int]] = []
     for chunk_lo in range(0, num_samples, chunk_size):
         chunk_hi = min(chunk_lo + chunk_size, num_samples)
         count = chunk_hi - chunk_lo
-        workers = min(nthreads, count)
-        region_cap = -(-count // workers) * n
-        arena = np.empty(workers * region_cap, dtype=np.int64)
+        arena_cap = count * n
+        arena = np.empty(arena_cap, dtype=np.int64)
         sizes = np.zeros(count, dtype=np.int64)
         edges = np.zeros(count, dtype=np.int64)
         rc = native.rrr_sample(
@@ -264,27 +222,25 @@ def run(
             indices.ctypes.data_as(p_i64),
             original.ctypes.data_as(p_i64),
             n,
+            edge_key.ctypes.data_as(p_u64),
             float(probability),
             roots_arr[chunk_lo:chunk_hi].ctypes.data_as(p_i64),
             samples_arr[chunk_lo:chunk_hi].ctypes.data_as(p_i64),
             count,
             int(seed) & ((1 << 64) - 1),
-            chunk_lo,
             arena.ctypes.data_as(p_i64),
-            region_cap,
+            arena_cap,
             sizes.ctypes.data_as(p_i64),
             edges.ctypes.data_as(p_i64),
-            stamps.ctypes.data_as(p_i64),
-            workers,
+            visited.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
         )
-        if rc != 0:  # pragma: no cover - region_cap makes this unreachable
+        if rc != 0:  # pragma: no cover - arena_cap makes this unreachable
             return None
-        for tid, (lo, hi) in enumerate(_shard_bounds(count, workers)):
-            offset = tid * region_cap
-            for s in range(lo, hi):
-                size = int(sizes[s])
-                results.append(
-                    (arena[offset : offset + size].copy(), int(edges[s]))
-                )
-                offset += size
+        offset = 0
+        for s in range(count):
+            size = int(sizes[s])
+            results.append(
+                (arena[offset : offset + size].copy(), int(edges[s]))
+            )
+            offset += size
     return results

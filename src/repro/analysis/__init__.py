@@ -10,12 +10,10 @@ Three layers (see ``docs/analysis.md``):
   defaults).
 * :mod:`repro.analysis.contracts` — engine-parity contract checker:
   scalar twins resolvable, equivalence-test coverage, scheme metadata,
-  bench floors wired, native twins resolvable, threaded kernels inside
-  the ``test-tsan`` race gate.
+  bench floors wired, native twins resolvable.
 * :mod:`repro.analysis.clint` — C-source lint over the embedded native
   kernels: non-determinism, uninitialized reads, narrow loop indices,
-  malloc leaks, unchecked cursor writes, and thread discipline for
-  ``repro_parallel_for`` task bodies.
+  malloc leaks, unchecked cursor writes.
 
 Plus the opt-in runtime half, :mod:`repro.analysis.sanitize`
 (``REPRO_SANITIZE=1``): float-error trapping, CSR/permutation

@@ -1,9 +1,8 @@
 """clint: C-source static lint for the embedded native kernels.
 
-reprolint (:mod:`repro.analysis.rules`) audits the Python tree, but PRs
-6–8 moved the hottest loops into ~2.5k lines of embedded C under
-:mod:`repro._native` — exactly where a data race or out-of-bounds write
-silently corrupts every bit-identity claim the engine contracts rest on.
+reprolint (:mod:`repro.analysis.rules`) audits the Python tree, but the
+hottest loops live in embedded C under :mod:`repro._native` — exactly
+where an out-of-bounds write or an uninitialised read silently corrupts every bit-identity claim the engine contracts rest on.
 This module extends the lint gate down into that tier.
 
 Kernel discovery is double-entry so no kernel can hide: every
@@ -30,11 +29,6 @@ Rules (all prefixed ``c-``):
 * ``c-unchecked-write`` — stores indexed by a post-incremented cursor
   (``out[pos++] = ...``) in a function that never bounds-checks that
   cursor;
-* ``c-racy-store`` — thread discipline for ``threaded=True`` kernels:
-  every store inside a ``repro_parallel_for`` task body must target a
-  shard-private region, i.e. the lvalue must be a task-local scalar or
-  mention a value derived from the ``tid`` parameter or a
-  ``repro_shard(...)`` range;
 * ``c-unregistered-kernel`` — the AST/registry double-entry check
   itself.
 
@@ -96,11 +90,6 @@ _C_RULE_HELP = {
         "store indexed by a post-incremented cursor with no bounds "
         "comparison on that cursor anywhere in the function"
     ),
-    "c-racy-store": (
-        "store inside a repro_parallel_for task body does not target a "
-        "shard-private region (not derived from tid or a repro_shard "
-        "range) — possible cross-thread race"
-    ),
     "c-unregistered-kernel": (
         "NativeKernel constructions and the runtime registry disagree; "
         "a kernel is hiding from the gate"
@@ -130,7 +119,6 @@ class CKernelSource:
     rel_path: str
     literal_line: int
     call_line: int
-    threaded: bool
     source: str
 
 
@@ -174,8 +162,7 @@ def discover_kernels(
 
     The C source is resolved from the second positional argument —
     either a string literal in place or a module-level ``_SOURCE``
-    binding — so the lint sees exactly what the build compiles (minus
-    the thread-pool helper, which is scanned separately).
+    binding — so the lint sees exactly what the build compiles.
     """
     root = Path(native_root) if native_root is not None else NATIVE_ROOT
     repo = (repo_root if repo_root is not None else REPO_ROOT).resolve()
@@ -215,50 +202,16 @@ def discover_kernels(
                     and src_node.id in strings
                 ):
                     source, literal_line = strings[src_node.id]
-            threaded = any(
-                kw.arg == "threaded"
-                and isinstance(kw.value, ast.Constant)
-                and bool(kw.value.value)
-                for kw in call.keywords
-            )
             kernels.append(
                 CKernelSource(
                     name=name,
                     rel_path=rel,
                     literal_line=literal_line,
                     call_line=call.lineno,
-                    threaded=threaded,
                     source=source or "",
                 )
             )
     return kernels
-
-
-def _helper_source(repo_root: Path | None = None) -> CKernelSource | None:
-    """The THREAD_POOL_HELPER literal from ``_native/core.py``."""
-    repo = (repo_root if repo_root is not None else REPO_ROOT).resolve()
-    path = NATIVE_ROOT / "core.py"
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except (OSError, SyntaxError):
-        # degrade: contract source unavailable; the check is skipped
-        return None
-    strings = _string_assignments(tree)
-    if "THREAD_POOL_HELPER" not in strings:
-        return None
-    source, line = strings["THREAD_POOL_HELPER"]
-    try:
-        rel = path.resolve().relative_to(repo).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    return CKernelSource(
-        name="thread_pool_helper",
-        rel_path=rel,
-        literal_line=line,
-        call_line=line,
-        threaded=False,  # the pool itself is not a task body
-        source=source,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +305,6 @@ class CFunction:
     start_offset: int  # char offset of the function name
 
 
-_IDENT = re.compile(r"[A-Za-z_]\w*")
 _C_KEYWORDS = frozenset(
     "if for while switch do return sizeof else case".split()
 )
@@ -463,23 +415,6 @@ _SUBSCRIPT_STORE_RE = re.compile(
 _PTR_CURSOR_STORE_RE = re.compile(
     r"\*\s*(?P<var>[A-Za-z_]\w*)\s*\+\+\s*(?:=(?!=)|\+=|-=|\|=|&=|\^=)"
 )
-
-_LVALUE = (
-    r"(?:\*+\s*)?[A-Za-z_]\w*"
-    r"(?:\s*(?:->|\.)\s*[A-Za-z_]\w*"
-    r"|\s*\[[^][]*(?:\[[^][]*\][^][]*)*\])*"
-)
-
-_ASSIGN_STORE_RE = re.compile(
-    rf"(?P<lval>{_LVALUE})\s*"
-    r"(?P<op>=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=)"
-)
-
-_INCDEC_RE = re.compile(
-    rf"(?:(?P<pre>\+\+|--)\s*(?P<lval_pre>{_LVALUE})"
-    rf"|(?P<lval_post>{_LVALUE})\s*(?P<post>\+\+|--))"
-)
-
 
 def _check_nondeterminism(stripped: str) -> Iterator[tuple[int, str]]:
     for match in _NONDET_RE.finditer(stripped):
@@ -651,161 +586,6 @@ def _check_unchecked_write(func: CFunction) -> Iterator[tuple[int, str]]:
         )
 
 
-def _split_args(text: str) -> list[str]:
-    """Top-level comma split of an argument list."""
-    args, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            args.append(text[start:i].strip())
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        args.append(tail)
-    return args
-
-
-_DECL_RE = re.compile(
-    r"(?<![\w.])(?:const\s+)?(?:unsigned\s+|signed\s+)?"
-    rf"(?:{_SCALAR_TYPES})(?!\s*\))\s*(?:\*+\s*)?(?P<name>[A-Za-z_]\w*)"
-)
-
-
-def _declared_names(body: str) -> set[str]:
-    """Every local declared in ``body`` (scalars, pointers, arrays)."""
-    names: set[str] = set()
-    for match in _DECL_RE.finditer(body):
-        names.add(match.group("name"))
-        # follow the declarator list: `int64_t lo, hi;` declares both
-        i, depth = match.end(), 0
-        while i < len(body):
-            ch = body[i]
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-                if depth < 0:
-                    break
-            elif depth == 0 and ch == ";":
-                break
-            elif depth == 0 and ch == ",":
-                j = i + 1
-                while j < len(body) and body[j].isspace():
-                    j += 1
-                rest = _IDENT.match(body, j)
-                if rest is not None:
-                    names.add(rest.group(0))
-                    i = rest.end()
-                    continue
-            i += 1
-    return names
-
-
-def _taint_set(func: CFunction) -> set[str]:
-    """Identifiers derived from the tid parameter or a shard range."""
-    params = _split_args(func.params)
-    taint: set[str] = set()
-    # task signature is (void *arg, int64_t tid, int64_t nthreads):
-    # everything after the payload pointer seeds the taint set
-    for param in params[1:]:
-        words = _IDENT.findall(param)
-        if words:
-            taint.add(words[-1])
-    for match in re.finditer(r"\brepro_shard\s*\(([^;]*)\)", func.body):
-        for arg in _split_args(match.group(1))[3:]:
-            words = _IDENT.findall(arg)
-            if words:
-                taint.add(words[-1])
-    assigns = [
-        (m.group(1), _IDENT.findall(m.group(2)))
-        for m in re.finditer(
-            r"\b([A-Za-z_]\w*)\s*=(?![=])\s*([^;]*)", func.body
-        )
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs_idents in assigns:
-            if lhs not in taint and any(w in taint for w in rhs_idents):
-                taint.add(lhs)
-                changed = True
-    return taint
-
-
-def _task_functions(stripped: str, funcs: list[CFunction]) -> list[CFunction]:
-    """Functions dispatched through ``repro_parallel_for``."""
-    by_name = {f.name: f for f in funcs}
-    tasks = []
-    for match in re.finditer(
-        r"\brepro_parallel_for\s*\(\s*&?\s*([A-Za-z_]\w*)", stripped
-    ):
-        func = by_name.get(match.group(1))
-        if func is not None and func not in tasks:
-            tasks.append(func)
-    return tasks
-
-
-_STMT_KEYWORDS = frozenset({"else", "do", "return"})
-
-
-def _is_declaration(body: str, lval_start: int) -> bool:
-    """Whether the assignment at ``lval_start`` is a declaration.
-
-    ``csort_job *job = ...`` initialises a local; the word before the
-    lvalue is its type.  A genuine store is preceded by punctuation or
-    a statement keyword, never by a type name.
-    """
-    j = lval_start - 1
-    while j >= 0 and body[j].isspace():
-        j -= 1
-    if j < 0 or not (body[j].isalnum() or body[j] == "_"):
-        return False
-    end = j + 1
-    while j >= 0 and (body[j].isalnum() or body[j] == "_"):
-        j -= 1
-    return body[j + 1:end] not in _STMT_KEYWORDS
-
-
-def _check_racy_stores(func: CFunction) -> Iterator[tuple[int, str]]:
-    body = func.body
-    taint = _taint_set(func)
-    locals_ = _declared_names(body)
-
-    def classify(lval: str, offset: int) -> tuple[int, str] | None:
-        idents = _IDENT.findall(lval)
-        if not idents:
-            return None
-        bare = re.fullmatch(r"[A-Za-z_]\w*", lval.strip()) is not None
-        if bare and idents[0] in locals_:
-            return None  # stack-private scalar
-        if any(word in taint for word in idents):
-            return None  # shard-/tid-derived region
-        return (
-            offset,
-            f"store to '{lval.strip()}' in parallel task {func.name}() "
-            "is not derived from repro_shard/tid ranges — possible "
-            "cross-thread race",
-        )
-
-    seen: set[tuple[int, str]] = set()
-    for match in _ASSIGN_STORE_RE.finditer(body):
-        if _is_declaration(body, match.start()):
-            continue  # local initialisation, not a store to shared state
-        hit = classify(match.group("lval"), func.body_offset + match.start())
-        if hit is not None and hit not in seen:
-            seen.add(hit)
-            yield hit
-    for match in _INCDEC_RE.finditer(body):
-        lval = match.group("lval_pre") or match.group("lval_post")
-        hit = classify(lval, func.body_offset + match.start())
-        if hit is not None and hit not in seen:
-            seen.add(hit)
-            yield hit
-
-
 # ----------------------------------------------------------------------
 # Per-kernel scan and tree-level entry points
 # ----------------------------------------------------------------------
@@ -813,7 +593,6 @@ def scan_kernel_source(
     name: str,
     source: str,
     *,
-    threaded: bool = False,
     rel_path: str = "<memory>",
     literal_line: int = 1,
 ) -> list[Finding]:
@@ -839,10 +618,6 @@ def scan_kernel_source(
             raw.append(("c-malloc-leak", offset, message))
         for offset, message in _check_unchecked_write(func):
             raw.append(("c-unchecked-write", offset, message))
-    if threaded:
-        for func in _task_functions(stripped, funcs):
-            for offset, message in _check_racy_stores(func):
-                raw.append(("c-racy-store", offset, message))
 
     findings: list[Finding] = []
     for rule_name, offset, message in raw:
@@ -904,24 +679,12 @@ def _registry_findings(
     return findings
 
 
-def _scanned(
-    kernels: list[CKernelSource], real_tree: bool, repo_root: Path | None
-) -> list[CKernelSource]:
-    """The sources the lint scans: kernels with a resolved source, plus
-    the thread-pool helper when scanning the real tree."""
-    if real_tree:
-        helper = _helper_source(repo_root)
-        if helper is not None:
-            kernels = [*kernels, helper]
-    return [kernel for kernel in kernels if kernel.source]
-
-
 def native_sources(
     native_root: Path | None = None, *, repo_root: Path | None = None
 ) -> list[CKernelSource]:
     """Every C source :func:`check_native_sources` lints."""
     kernels = discover_kernels(native_root, repo_root=repo_root)
-    return _scanned(kernels, native_root is None, repo_root)
+    return [kernel for kernel in kernels if kernel.source]
 
 
 def check_native_sources(
@@ -933,9 +696,8 @@ def check_native_sources(
     """Lint every native kernel source; the ``--clint`` entry point.
 
     With no arguments this scans the real tree: all ``NativeKernel``
-    constructions under ``src/repro/_native``, the thread-pool helper,
-    and the registry cross-check against ``repro._native`` (imported
-    lazily).  Tests point ``native_root`` at synthetic trees and pass
+    constructions under ``src/repro/_native`` and the registry
+    cross-check against ``repro._native`` (imported lazily).  Tests point ``native_root`` at synthetic trees and pass
     ``registered`` explicitly; the cross-check is skipped when scanning
     a synthetic tree without an explicit registry.
     """
@@ -950,12 +712,13 @@ def check_native_sources(
     if registered is not None:
         findings.extend(_registry_findings(kernels, registered))
 
-    for kernel in _scanned(kernels, scanning_real_tree, repo_root):
+    for kernel in kernels:
+        if not kernel.source:
+            continue
         findings.extend(
             scan_kernel_source(
                 kernel.name,
                 kernel.source,
-                threaded=kernel.threaded,
                 rel_path=kernel.rel_path,
                 literal_line=kernel.literal_line,
             )

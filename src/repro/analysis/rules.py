@@ -24,7 +24,7 @@ Rules:
     ``os.environ`` / ``os.getenv`` outside the sanctioned config entry
     points (:mod:`repro.engine`, :mod:`repro.ordering.store`,
     :mod:`repro._native.core` — which
-    owns the ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE_THREADS`` knobs —
+    owns the ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE_SANITIZE`` knobs —
     :mod:`repro.graph.shm`, :mod:`repro.analysis.sanitize`).
     Scattered env reads make a run's configuration impossible to pin.
 ``mutable-default``

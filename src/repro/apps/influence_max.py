@@ -289,7 +289,8 @@ def greedy_seed_selection(
     (:mod:`repro._native.greedy`); under the vector engine, or when the
     kernel declines, it runs on CSR-encoded set membership
     (:func:`repro.apps.batch.greedy_seed_selection_vector`); the loop
-    below is the retained scalar ground truth.
+    below is the retained scalar ground truth.  Every tier raises
+    ``ValueError`` on a member id outside ``[0, num_vertices)``.
     """
     tier = resolve_engine(engine)
     if tier == "native":
@@ -305,7 +306,13 @@ def greedy_seed_selection(
     coverage: list[list[int]] = [[] for _ in range(num_vertices)]
     for idx, rrr in enumerate(rrr_sets):
         for v in rrr.vertices:
-            coverage[int(v)].append(idx)
+            v = int(v)
+            if not 0 <= v < num_vertices:
+                raise ValueError(
+                    f"RRR set {idx} has member {v} outside "
+                    f"[0, {num_vertices})"
+                )
+            coverage[v].append(idx)
     counts = np.asarray([len(c) for c in coverage], dtype=np.int64)
     covered = np.zeros(len(rrr_sets), dtype=bool)
     seeds: list[int] = []

@@ -19,17 +19,9 @@ selection, bucketed-array delta-stepping, and the Louvain sweep cost
 model — verifies every vector result is bit-identical to its scalar
 reference, and writes ``BENCH_apps.json``.
 
-**Threads stage** (``--threads``) times the thread-parallel native
-kernels (RRR sampling, delta-stepping, the counting-sort ordering
-path) at 1/2/4/8 ``REPRO_NATIVE_THREADS``, verifies every
-thread count produces the bit-identical result, and writes
-``BENCH_threads.json``.  The 4-thread speedup floors only apply when
-the host actually has four cores (the recorded ``cpu_count``); the
-identity checks always apply.
-
 **Ingest stage** (``--ingest``) times the zero-parse ingestion path:
-edge-list text parsing through the scalar, vector, and native
-(``parse_edges``) tiers, the builder's counting-sort finalisation per
+edge-list text parsing through the scalar and native (``parse_edges``)
+tiers, the builder's counting-sort finalisation per
 engine, and a cold-save/warm-load cycle of the mmap-backed graph store
 (:mod:`repro.graph.store`), verifying every path reproduces the scalar
 graph bit for bit, and writes ``BENCH_ingest.json``.
@@ -78,7 +70,7 @@ from ..engine import strip_engine_metadata, use_engine
 from ..graph import io as graph_io
 from ..graph.builder import GraphBuilder
 from ..graph.store import GraphStore
-from .._native import build_info_all, native_threads, use_native_threads
+from .._native import build_info_all
 from ..measures.gaps import gap_measures
 from ..ordering import PAPER_SCHEMES
 from ..ordering.base import Ordering, get_scheme
@@ -98,8 +90,6 @@ __all__ = [
     "check_orderings",
     "measure_apps",
     "check_apps",
-    "measure_threads",
-    "check_threads",
     "measure_ingest",
     "check_ingest",
     "main",
@@ -113,10 +103,6 @@ __all__ = [
     "APPS_PATH",
     "APPS_FLOORS",
     "APPS_AGGREGATE_FLOOR",
-    "THREADS_PATH",
-    "THREAD_COUNTS",
-    "THREAD_KERNELS",
-    "THREAD_SCALING_FLOOR",
     "INGEST_PATH",
     "INGEST_NATIVE_PARSE_FLOOR",
     "INGEST_STORE_RELOAD_FLOOR",
@@ -140,7 +126,6 @@ STAGES = {
     "replay": {"flag": None, "floor": "DEFAULT_MIN_SPEEDUP"},
     "orderings": {"flag": "--orderings", "floor": "ORDERING_AGGREGATE_FLOOR"},
     "apps": {"flag": "--apps", "floor": "APPS_AGGREGATE_FLOOR"},
-    "threads": {"flag": "--threads", "floor": "THREAD_SCALING_FLOOR"},
     "ingest": {"flag": "--ingest", "floor": "INGEST_STORE_RELOAD_FLOOR"},
 }
 
@@ -231,36 +216,12 @@ APPS_NATIVE_KERNELS: dict[str, str] = {
     "rrr_sampling": "rrr_sample",
 }
 
-#: committed thread-scaling results, next to the other BENCH files.
-THREADS_PATH = Path(__file__).resolve().parents[3] / "BENCH_threads.json"
-
-#: REPRO_NATIVE_THREADS values the threads stage walks.
-THREAD_COUNTS = (1, 2, 4, 8)
-
-#: thread-stage workloads mapped to the threaded kernel they exercise;
-#: floors only apply when that kernel actually compiled.
-THREAD_KERNELS: dict[str, str] = {
-    "rrr_sampling": "rrr_sample",
-    "delta_stepping": "delta_scan",
-    "counting_sort": "counting_sort",
-}
-
-#: workloads whose 4-thread speedup the threads stage floors.  The
-#: delta-stepping parallel path only engages on scans past its edge
-#: threshold (rare on the surrogates) and counting sort is bandwidth
-#: bound, so only embarrassingly parallel RRR sampling carries a floor.
-THREAD_FLOOR_WORKLOADS = ("rrr_sampling",)
-
-#: 4-thread over 1-thread wall-clock floor for the floored workloads,
-#: enforced only on hosts with at least four cores.
-THREAD_SCALING_FLOOR = 2.0
-
 #: committed ingest-stage results, next to the other BENCH files.
 INGEST_PATH = Path(__file__).resolve().parents[3] / "BENCH_ingest.json"
 
 #: native/scalar edge-list parse floor, enforced only when the
-#: ``parse_edges`` kernel compiled (otherwise the vector tier runs,
-#: whose speedup is recorded but unfloored — it is allocation bound).
+#: ``parse_edges`` kernel compiled (otherwise both legs run the scalar
+#: reader).
 INGEST_NATIVE_PARSE_FLOOR = 5.0
 
 #: warm mmap store load over scalar text re-parse — the headline
@@ -339,7 +300,6 @@ def measure(
         "schema_version": SCHEMA_VERSION,
         "dataset": dataset,
         "num_threads": num_threads,
-        "threads": native_threads(),
         "cpu_count": os.cpu_count(),
         "num_accesses": num_accesses,
         "native_kernels": build_info_all(),
@@ -455,7 +415,6 @@ def measure_orderings(
     return {
         "schema_version": SCHEMA_VERSION,
         "dataset": dataset,
-        "threads": native_threads(),
         "cpu_count": os.cpu_count(),
         "native_kernels": build_info_all(),
         "schemes": per_scheme,
@@ -691,7 +650,6 @@ def measure_apps(
         "probability": probability,
         "k": k,
         "jobs": jobs,
-        "threads": native_threads(),
         "cpu_count": os.cpu_count(),
         "native_kernels": build_info_all(),
         "workloads": workloads,
@@ -757,123 +715,6 @@ def check_apps(
     return failures
 
 
-def measure_threads(
-    dataset: str = "orkut",
-    *,
-    num_samples: int = 48,
-    probability: float = 0.12,
-    seed: int = 7,
-    repeats: int = 3,
-    thread_counts: tuple[int, ...] = THREAD_COUNTS,
-) -> dict:
-    """Time the threaded kernels at each ``REPRO_NATIVE_THREADS`` value.
-
-    Three workloads, each run end-to-end through its public entry point
-    (so dispatch and marshalling overhead is charged honestly): batched
-    hash-pinned RRR sampling, delta-stepping SSSP, and the Hub Sort
-    ordering whose stable sort runs the counting kernel.  Every thread
-    count must reproduce the single-thread result bit-for-bit — that
-    contract is checked here and enforced unconditionally by
-    :func:`check_threads`; the speedup floors additionally require a
-    multi-core host.
-    """
-    graph = load(dataset)
-    n = graph.num_vertices
-    original_of = np.arange(n, dtype=np.int64)
-    roots = np.random.default_rng(seed).integers(
-        n, size=num_samples
-    ).astype(np.int64)
-    sample_indices = np.arange(num_samples, dtype=np.int64)
-    hub_sort = get_scheme("hub_sort")
-
-    workload_fns: dict[str, tuple[Callable[[], object], Callable]] = {
-        "rrr_sampling": (
-            lambda: sample_rrr_ic_pinned_batch(
-                graph, probability, roots, original_of,
-                sample_indices, seed,
-            ),
-            _rrr_identical,
-        ),
-        "delta_stepping": (
-            lambda: delta_stepping(graph, 0, engine="native"),
-            lambda a, b: bool(np.array_equal(a[0], b[0]))
-            and _items_identical(a[1], b[1]),
-        ),
-        "counting_sort": (
-            lambda: hub_sort.order(graph),
-            _orderings_identical,
-        ),
-    }
-
-    workloads: dict[str, dict] = {}
-    for name, (fn, same) in workload_fns.items():
-        walls: dict[str, float] = {}
-        baseline: object = None
-        identical = True
-        for count in thread_counts:
-            with use_engine("native"), use_native_threads(count):
-                wall, value = _best_of(fn, repeats)
-            walls[str(count)] = round(wall, 6)
-            if baseline is None:
-                baseline = value
-            else:
-                identical = identical and bool(same(baseline, value))
-        wall_1 = walls[str(thread_counts[0])]
-        wall_4 = walls.get("4")
-        workloads[name] = {
-            "wall_s": walls,
-            "identical": identical,
-            "speedup_4t": (
-                round(wall_1 / wall_4, 3) if wall_4 else None
-            ),
-        }
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dataset": dataset,
-        "cpu_count": os.cpu_count(),
-        "thread_counts": list(thread_counts),
-        "native_kernels": build_info_all(),
-        "workloads": workloads,
-    }
-
-
-def check_threads(
-    result: dict,
-    *,
-    min_speedup: float | None = THREAD_SCALING_FLOOR,
-) -> list[str]:
-    """Regression failures in a threads measurement (empty = pass).
-
-    Bit-identity across thread counts is enforced unconditionally.
-    The 4-thread speedup floors additionally require ``min_speedup``
-    (None under ``--quick``), at least four recorded cores, and the
-    workload's kernel to have compiled — a single-core host cannot
-    scale and an absent kernel ran the vector fallback.
-    """
-    failures: list[str] = []
-    for name, entry in result["workloads"].items():
-        if not entry["identical"]:
-            failures.append(
-                f"{name}: result diverged across native thread counts"
-            )
-    cores = result.get("cpu_count") or 1
-    if min_speedup is not None and cores >= 4:
-        for name in THREAD_FLOOR_WORKLOADS:
-            entry = result["workloads"].get(name)
-            if entry is None:
-                continue
-            if not _kernel_available(result, THREAD_KERNELS[name]):
-                continue
-            speedup = entry.get("speedup_4t") or 0.0
-            if speedup < min_speedup:
-                failures.append(
-                    f"{name}: 4-thread speedup {speedup:.2f}x fell "
-                    f"below the {min_speedup:.1f}x floor"
-                )
-    return failures
-
-
 def _graphs_identical(a, b) -> bool:
     """Bitwise CSR equality (arrays and weight bytes, not allclose)."""
     return (
@@ -897,8 +738,7 @@ def measure_ingest(
     Three legs, all verified bit-identical against the scalar reader:
 
     * **parse** — the dataset serialised as edge-list text, re-read
-      through each engine tier (the native leg also sweeps 1/2/4/8
-      threads);
+      through the scalar reader and the native byte scanner;
     * **build** — CSR finalisation from raw edge arrays through each
       engine (lexsort vs the counting-sort kernel);
     * **store** — a cold ``.rgr`` save then warm mmap loads, priced
@@ -914,34 +754,16 @@ def measure_ingest(
         text_bytes = text_path.stat().st_size
 
         parsed: dict[str, object] = {}
-        for engine in ("scalar", "vector", "native"):
+        for engine in ("scalar", "native"):
             timings[f"parse_{engine}"], parsed[engine] = _best_of(
                 lambda e=engine: graph_io.read_edge_list(
                     text_path, engine=e
                 ),
                 repeats,
             )
-        checks["parse_vector_identical"] = _graphs_identical(
-            parsed["scalar"], parsed["vector"]
-        )
         checks["parse_native_identical"] = _graphs_identical(
             parsed["scalar"], parsed["native"]
         )
-        thread_walls: dict[str, float] = {}
-        thread_identical = True
-        for count in THREAD_COUNTS:
-            with use_native_threads(count):
-                wall, value = _best_of(
-                    lambda: graph_io.read_edge_list(
-                        text_path, engine="native"
-                    ),
-                    repeats,
-                )
-            thread_walls[str(count)] = round(wall, 6)
-            thread_identical = thread_identical and _graphs_identical(
-                parsed["scalar"], value
-            )
-        checks["parse_thread_identical"] = thread_identical
 
         src = np.repeat(
             np.arange(graph.num_vertices, dtype=np.int64),
@@ -986,16 +808,10 @@ def measure_ingest(
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "text_bytes": text_bytes,
-        "threads": native_threads(),
         "cpu_count": os.cpu_count(),
         "native_kernels": build_info_all(),
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
-        "parse_thread_wall_s": thread_walls,
         "speedup": {
-            "parse_vector": round(
-                timings["parse_scalar"] / timings["parse_vector"]
-                if timings["parse_vector"] > 0 else float("inf"), 3
-            ),
             "parse_native": round(
                 timings["parse_scalar"] / timings["parse_native"]
                 if timings["parse_native"] > 0 else float("inf"), 3
@@ -1020,8 +836,8 @@ def check_ingest(
 ) -> list[str]:
     """Regression failures in an ingest measurement (empty = pass).
 
-    Bit-identity across tiers, thread counts, and the store round-trip
-    is enforced unconditionally.  The floors (None under ``--quick``)
+    Bit-identity across tiers and the store round-trip is enforced
+    unconditionally.  The floors (None under ``--quick``)
     guard the warm-store reload always and the native parse speedup
     only when the ``parse_edges`` kernel actually compiled.
     """
@@ -1119,19 +935,13 @@ def main(argv: list[str] | None = None) -> int:
              "trace replay",
     )
     parser.add_argument(
-        "--threads", action="store_true",
-        help="run the thread-scaling stage (threaded kernels at "
-             "1/2/4/8 native threads, bit-identity across counts) "
-             "instead of trace replay",
-    )
-    parser.add_argument(
         "--ingest", action="store_true",
         help="run the ingest stage (parse tiers, counting-sort build, "
              "mmap store cold/warm cycle) instead of trace replay",
     )
     parser.add_argument(
         "--num-samples", type=int, default=48, metavar="S",
-        help="apps/threads stages: RRR samples to draw (default: 48)",
+        help="apps stage only: RRR samples to draw (default: 48)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="J",
@@ -1175,9 +985,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.quick else args.repeats
     stage = "orderings" if args.orderings else (
         "apps" if args.apps else (
-            "threads" if args.threads else (
-                "ingest" if args.ingest else "replay"
-            )
+            "ingest" if args.ingest else "replay"
         )
     )
     journal = RunJournal(args.run_id) if args.run_id else None
@@ -1208,12 +1016,6 @@ def main(argv: list[str] | None = None) -> int:
                 repeats=repeats,
                 jobs=args.jobs,
             )
-        elif args.threads:
-            result = measure_threads(
-                dataset,
-                num_samples=16 if args.quick else args.num_samples,
-                repeats=repeats,
-            )
         elif args.ingest:
             result = measure_ingest(dataset, repeats=repeats)
         else:
@@ -1233,8 +1035,6 @@ def main(argv: list[str] | None = None) -> int:
             output = ORDERING_PATH
         elif args.apps and output == DEFAULT_PATH:
             output = APPS_PATH
-        elif args.threads and output == DEFAULT_PATH:
-            output = THREADS_PATH
         elif args.ingest and output == DEFAULT_PATH:
             output = INGEST_PATH
         output.write_text(json.dumps(result, indent=2) + "\n")
@@ -1246,9 +1046,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.apps:
             floor = None if args.quick else APPS_AGGREGATE_FLOOR
             failures = check_apps(result, min_aggregate=floor)
-        elif args.threads:
-            floor = None if args.quick else THREAD_SCALING_FLOOR
-            failures = check_threads(result, min_speedup=floor)
         elif args.ingest:
             floor = None if args.quick else INGEST_STORE_RELOAD_FLOOR
             failures = check_ingest(result, min_reload=floor)

@@ -18,11 +18,8 @@ deterministic:
   :class:`CellFailedError` only after a cell exhausts its retries,
   while :func:`map_cells_detailed` returns the structured per-cell
   outcomes so supervised grids can degrade instead of aborting;
-* each worker's native-kernel thread pool is capped at
-  ``cores // jobs`` by the supervisor, so process fan-out and
-  thread-parallel kernels (``REPRO_NATIVE_THREADS``) compose without
-  oversubscribing — and without changing results, since threaded
-  kernels are bit-identical for every thread count.
+* native kernels are serial, so ``jobs`` worker processes use at most
+  ``jobs`` cores.
 
 ``python -m repro.bench --jobs N [--timeout S] [--retries K]`` sets the
 process-wide defaults.

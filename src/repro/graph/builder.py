@@ -19,7 +19,7 @@ archive their arrays directly — no Python lists, no ``tolist()`` round
 trips.  :meth:`GraphBuilder.build` finalises with two stable pair sorts
 that are engine-gated (:mod:`repro.engine`): the scalar and vector tiers
 share one ``np.lexsort`` and the native tier runs two passes of the
-BOBA-style ``counting_sort`` kernel (an O(m) LSD radix sort over the
+serial ``counting_sort`` kernel (an O(m) LSD radix sort over the
 vertex-id buckets), every tier bit-identical — including the float
 summation order of merged duplicate weights.
 

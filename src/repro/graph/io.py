@@ -10,13 +10,13 @@ All readers canonicalise through :class:`~repro.graph.builder.GraphBuilder`
 so the in-memory graph is always the same regardless of source format.
 
 :func:`read_edge_list` is engine-gated (:mod:`repro.engine`): the
-original per-line Python loop is retained as the scalar ground truth, a
-numpy bulk tokeniser is the vector tier, and the sharded two-pass byte
-scanner in :mod:`repro._native.parse` is the native tier.  The faster
-tiers parse a *strict grammar* (ASCII, plain decimal numbers) and defer
-the whole file to the scalar reader on anything outside it, so every
-tier — and every thread count — produces bit-identical graphs and
-raises the scalar reader's exceptions on malformed input.
+original per-line Python loop is retained as the scalar ground truth,
+and the two-pass byte scanner in :mod:`repro._native.parse` is the
+native tier.  There is no vector tier.  The native tier parses a
+*strict grammar* (ASCII, plain decimal numbers) and defers the whole
+file to the scalar reader on anything outside it, so both tiers produce
+bit-identical graphs and raise the scalar reader's exceptions on
+malformed input.
 """
 
 from __future__ import annotations
@@ -65,18 +65,13 @@ def read_edge_list(
     present, which preserves trailing isolated vertices.
 
     ``engine`` selects the parse tier (default: the ambient engine, see
-    :func:`repro.engine.resolve_engine`); every tier is bit-identical.
+    :func:`repro.engine.resolve_engine`): ``"native"`` tries the byte
+    scanner, everything else reads per line; both are bit-identical.
     """
-    resolved = resolve_engine(engine)
-    if resolved != "scalar":
-        raw = Path(path).read_bytes()
-        parsed: _Parsed | None = None
-        if resolved == "native":
-            parsed = _parse_edge_text_native(raw, one_based)
-        if parsed is None:
-            parsed = _parse_edge_text_vector(raw, one_based)
+    if resolve_engine(engine) == "native":
+        parsed = _parse_edge_text_native(Path(path).read_bytes(), one_based)
         if parsed is not None:
-            return _graph_from_parsed(parsed, num_vertices, resolved)
+            return _graph_from_parsed(parsed, num_vertices)
     return _read_edge_list_scalar(
         path, num_vertices=num_vertices, one_based=one_based
     )
@@ -88,7 +83,7 @@ def _read_edge_list_scalar(
     num_vertices: int | None = None,
     one_based: bool = False,
 ) -> CSRGraph:
-    """The retained per-line reader — ground truth for the faster tiers."""
+    """The retained per-line reader — ground truth for the native tier."""
     edges: list[tuple[int, int, float]] = []
     max_id = -1
     header_n: int | None = None
@@ -132,8 +127,8 @@ def _parse_edge_text_scalar(raw: bytes, one_based: bool) -> _Parsed:
     """Scalar parse of raw bytes into arrays (equivalence-test twin).
 
     Byte-level twin of the loop inside :func:`_read_edge_list_scalar`,
-    used by the parse-identity property tests to compare all three tiers
-    on the same bytes without touching the filesystem.
+    used by the parse-identity property tests to compare it with the
+    native tier on the same bytes without touching the filesystem.
     """
     src: list[int] = []
     dst: list[int] = []
@@ -176,74 +171,17 @@ def _parse_edge_text_scalar(raw: bytes, one_based: bool) -> _Parsed:
     )
 
 
-def _parse_edge_text_vector(raw: bytes, one_based: bool) -> _Parsed | None:
-    """Numpy bulk-conversion parse tier, or ``None`` on fallback.
-
-    Lines are still split in Python (comment/blank/width handling), but
-    token-to-number conversion — the dominant scalar cost — happens in
-    two ``astype`` calls over the whole file.
-    """
-    if not raw.isascii():
-        return None
-    header_n: int | None = None
-    rows: list[list[bytes]] = []
-    for ln in raw.splitlines():
-        stripped = ln.strip()
-        if stripped[:1] in (b"#", b"%"):
-            for token in stripped[1:].split():
-                if token[:2] == b"n=" and token[2:].isdigit():
-                    header_n = int(token[2:])
-            continue
-        if not stripped:
-            continue
-        rows.append(stripped.split())
-    if not rows:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-            False,
-            -1,
-            header_n,
-        )
-    if any(len(r) < 2 for r in rows):
-        return None  # the scalar reader raises IndexError; let it
-    try:
-        src = np.array([r[0] for r in rows]).astype(np.int64)
-        dst = np.array([r[1] for r in rows]).astype(np.int64)
-    except (ValueError, OverflowError):
-        return None  # int() may accept what numpy rejects — defer
-    wgt = np.ones(len(rows), dtype=np.float64)
-    weight_rows = [i for i, r in enumerate(rows) if len(r) > 2]
-    saw_weight_column = bool(weight_rows)
-    if weight_rows:
-        try:
-            vals = np.array([rows[i][2] for i in weight_rows]).astype(
-                np.float64
-            )
-        except (ValueError, OverflowError):
-            return None
-        wgt[np.asarray(weight_rows, dtype=np.int64)] = vals
-    if one_based:
-        src -= 1
-        dst -= 1
-    max_id = int(max(src.max(), dst.max()))
-    return src, dst, wgt, saw_weight_column, max_id, header_n
-
-
 def _parse_edge_text_native(raw: bytes, one_based: bool) -> _Parsed | None:
-    """Threaded native parse tier, or ``None`` on fallback.
+    """Native parse tier, or ``None`` on fallback.
 
     Drives the ``parse_edges`` kernel (:mod:`repro._native.parse`);
-    bit-identical to the scalar parse at any thread count.
+    bit-identical to the scalar parse.
     """
     return _parse_kernel.run(raw, one_based)
 
 
-def _graph_from_parsed(
-    parsed: _Parsed, num_vertices: int | None, engine: str
-) -> CSRGraph:
-    """Finish a parsed edge array into a canonical graph.
+def _graph_from_parsed(parsed: _Parsed, num_vertices: int | None) -> CSRGraph:
+    """Finish a natively parsed edge array into a canonical graph.
 
     Applies the same ``n`` inference as the scalar reader, then routes
     the arrays through the builder's bulk path.
@@ -258,9 +196,9 @@ def _graph_from_parsed(
     builder = GraphBuilder(n)
     builder.add_edge_array(src, dst, wgt if saw_weight_column else None)
     graph = builder.build(
-        weighted=saw_weight_column or None, engine=engine
+        weighted=saw_weight_column or None, engine="native"
     )
-    graph.meta["parse_engine"] = engine
+    graph.meta["parse_engine"] = "native"
     return graph
 
 

@@ -14,18 +14,17 @@ among frequently accessed hubs.
 
 Every scheme here reduces to one primitive — a *stable* sort of the
 vertex ids by a small non-negative integer key — so all four share the
-:func:`_stable_key_order` dispatcher.  The scalar and vector tiers are
-numpy's stable argsort; the native tier is the BOBA-style parallel
-counting sort (:mod:`repro._native.counting`), bit-identical to the
-argsort for every ``REPRO_NATIVE_THREADS`` value.
+:func:`_stable_key_order` dispatcher.  The scalar tier is numpy's
+stable argsort, which is already the batched form, so there is no
+separate vector tier; the native tier is the serial counting sort
+(:mod:`repro._native.counting`), bit-identical to the argsort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._native.core import native_threads
-from ..engine import ENGINE_METADATA_KEY, THREADS_METADATA_KEY, resolve_engine
+from ..engine import ENGINE_METADATA_KEY, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from .base import OperationCounter, OrderingScheme
@@ -55,15 +54,10 @@ def _stable_key_order_scalar(key: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _stable_key_order_vector(key: np.ndarray) -> np.ndarray:
-    """Vector twin: numpy's stable argsort is already the batched form."""
-    return np.argsort(key, kind="stable")
-
-
 def _stable_key_order_native(
     key: np.ndarray, num_buckets: int
 ) -> np.ndarray | None:
-    """Parallel counting-sort tier; ``None`` when the kernel bows out."""
+    """Counting-sort tier; ``None`` when the kernel bows out."""
     from .._native import counting
 
     return counting.run(key, num_buckets)
@@ -75,20 +69,16 @@ def _stable_key_order(
     """Stable argsort of small-integer ``key`` through the engine tower.
 
     ``key`` must be int64 in ``[0, num_buckets)``.  When the native
-    counting-sort kernel actually runs, the tier and thread count are
-    recorded in ``metadata`` (:func:`repro.ordering.base.OrderingScheme.order`
-    fills the engine key for the other tiers).
+    counting-sort kernel actually runs, the tier is recorded in
+    ``metadata`` (:func:`repro.ordering.base.OrderingScheme.order` fills
+    the engine key for the other tiers).
     """
-    engine = resolve_engine()
-    if engine == "native":
+    if resolve_engine() == "native":
         sequence = _stable_key_order_native(key, num_buckets)
         if sequence is not None:
             metadata[ENGINE_METADATA_KEY] = "native"
-            metadata[THREADS_METADATA_KEY] = native_threads()
             return sequence
-    if engine == "scalar":
-        return _stable_key_order_scalar(key)
-    return _stable_key_order_vector(key)
+    return _stable_key_order_scalar(key)
 
 
 class DegreeSort(OrderingScheme):

@@ -34,7 +34,6 @@ import collections
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
-import os
 import time
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -98,7 +97,6 @@ def _worker_loop(
     results,
     timeout_hint: float | None,
     worker_init: Callable[[], None] | None = None,
-    thread_cap: int | None = None,
 ) -> None:
     """One supervised worker: run cells from ``tasks`` until sentinel.
 
@@ -113,18 +111,7 @@ def _worker_loop(
     Injected worker-crash faults die hard here (``os._exit``) so the
     supervisor exercises true process-death recovery; injected timeouts
     stall past the supervisor's deadline when one is configured.
-
-    ``thread_cap`` bounds how many native-kernel threads this worker may
-    use (:func:`repro._native.core.set_thread_cap`): with ``width``
-    workers sharing the machine, each gets ``cores // width`` so the
-    process fan-out and the kernel thread pools do not oversubscribe.
-    Results are unaffected — threaded kernels are bit-identical for
-    every thread count.
     """
-    if thread_cap is not None:
-        from repro._native.core import set_thread_cap
-
-        set_thread_cap(thread_cap)
     if worker_init is not None:
         try:
             worker_init()
@@ -302,7 +289,6 @@ def _run_parallel(
 ) -> list[CellResult]:
     """The supervised pool proper (see :func:`run_supervised`)."""
     ctx = _context()
-    thread_cap = max(1, (os.cpu_count() or 1) // max(1, width))
 
     def spawn() -> _WorkerHandle:
         task_recv, task_send = ctx.Pipe(duplex=False)
@@ -315,7 +301,6 @@ def _run_parallel(
                 result_send,
                 timeout,
                 worker_init,
-                thread_cap,
             ),
             daemon=True,
         )

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import contracts
 from repro.analysis.contracts import (
     check_bench_floors,
     check_contracts,
@@ -346,7 +345,7 @@ def test_real_bench_wiring_passes():
 
 
 # ----------------------------------------------------------------------
-# Native-twin contract: threaded kernels declare a serial twin
+# Native-twin contract: kernels declare resolvable twins
 # ----------------------------------------------------------------------
 NATIVE_TREE_BASE = {
     "repro/__init__.py": "",
@@ -356,10 +355,6 @@ NATIVE_TREE_BASE = {
 
 
         def vector_k(x):
-            return x
-
-
-        def serial_k(x):
             return x
         """,
     "repro/_native/__init__.py": "",
@@ -373,7 +368,6 @@ NATIVE_TREE_BASE = {
 
 def _native_tree(
     tmp_path,
-    kernel_kwargs: str,
     vector_twin: str = 'vector_twin="repro.ref:vector_k",',
 ):
     files = dict(NATIVE_TREE_BASE)
@@ -387,47 +381,19 @@ def _native_tree(
             symbols={{}},
             scalar_twin="repro.ref:scalar_k",
             {vector_twin}
-            {kernel_kwargs}
         )
         """
     src = write_tree(tmp_path, files)
     return check_native_twins(index_tree(src))
 
 
-def test_threaded_kernel_without_serial_twin_detected(tmp_path):
-    findings = _native_tree(tmp_path, "threaded=True,")
-    assert any(
-        f.rule == "native-twin" and "serial_twin" in f.message
-        for f in findings
-    )
-
-
-def test_threaded_kernel_with_unresolvable_serial_twin_detected(tmp_path):
-    findings = _native_tree(
-        tmp_path,
-        'threaded=True,\n            serial_twin="repro.ref:missing",',
-    )
-    assert any(
-        f.rule == "native-twin" and "serial_twin" in f.message
-        for f in findings
-    )
-
-
-def test_threaded_kernel_with_resolvable_serial_twin_passes(tmp_path):
-    findings = _native_tree(
-        tmp_path,
-        'threaded=True,\n            serial_twin="repro.ref:serial_k",',
-    )
-    assert findings == []
-
-
 def test_unthreaded_kernel_needs_no_serial_twin(tmp_path):
-    findings = _native_tree(tmp_path, "")
+    findings = _native_tree(tmp_path)
     assert findings == []
 
 
 def test_vector_twin_none_passes(tmp_path):
-    findings = _native_tree(tmp_path, "", vector_twin="vector_twin=None,")
+    findings = _native_tree(tmp_path, vector_twin="vector_twin=None,")
     assert findings == []
 
 
@@ -441,7 +407,7 @@ def test_vector_twin_none_passes(tmp_path):
     ids=["missing", "non-literal", "unresolvable"],
 )
 def test_bad_vector_twin_detected(tmp_path, vector_twin, message):
-    findings = _native_tree(tmp_path, "", vector_twin=vector_twin)
+    findings = _native_tree(tmp_path, vector_twin=vector_twin)
     assert len(findings) == 1
     assert findings[0].rule == "native-twin"
     assert message in findings[0].message
@@ -473,109 +439,3 @@ def test_check_contracts_fails_on_orphaned_gate(tmp_path):
     rules = {f.rule for f in findings}
     assert "parity-scalar-twin" in rules
     assert "parity-equivalence-test" in rules
-
-
-# ----------------------------------------------------------------------
-# TSan race gate (contract 6): threaded kernels inside test-tsan
-# ----------------------------------------------------------------------
-THREADED_KERNEL_MODULE = """
-    from .core import NativeKernel
-
-
-    KERNEL = NativeKernel(
-        "k",
-        "int x;",
-        symbols={},
-        scalar_twin="repro.ref:scalar_k",
-        vector_twin="repro.ref:vector_k",
-        threaded=True,
-        serial_twin="repro.ref:serial_k",
-    )
-    """
-
-TSAN_RECIPE = (
-    "test-tsan:\n"
-    "\tREPRO_NATIVE_THREADS=4 sh scripts/native_sanitize.sh tsan -x -q \\\n"
-    "\t\ttests/test_k.py\n"
-)
-
-
-def _tsan_gate(tmp_path, *, makefile=None, tests=None, kernel=None):
-    files = dict(NATIVE_TREE_BASE)
-    files["repro/_native/foo.py"] = (
-        THREADED_KERNEL_MODULE if kernel is None else kernel
-    )
-    src = write_tree(tmp_path, files)
-    makefile_path = tmp_path / "Makefile"
-    if makefile is not None:
-        makefile_path.write_text(makefile)
-    tests_root = tmp_path / "tests"
-    tests_root.mkdir(exist_ok=True)
-    for rel, source in (tests or {}).items():
-        (tests_root / rel).write_text(textwrap.dedent(source))
-    return contracts.check_tsan_gate(
-        index_tree(src), makefile_path=makefile_path, tests_root=tests_root
-    )
-
-
-def test_missing_tsan_target_detected(tmp_path):
-    findings = _tsan_gate(tmp_path, makefile="test:\n\tpytest\n")
-    assert len(findings) == 1
-    assert findings[0].rule == "native-tsan-gate"
-    assert "no test-tsan target" in findings[0].message
-    assert "'k'" in findings[0].message or "k" in findings[0].message
-
-
-def test_tsan_recipe_without_profile_detected(tmp_path):
-    findings = _tsan_gate(
-        tmp_path,
-        makefile="test-tsan:\n\tpytest tests/test_k.py\n",
-        tests={"test_k.py": 'KERNEL = "k"\n'},
-    )
-    assert any(
-        "does not run under the tsan profile" in f.message for f in findings
-    )
-
-
-def test_tsan_recipe_with_missing_test_file_detected(tmp_path):
-    findings = _tsan_gate(tmp_path, makefile=TSAN_RECIPE)
-    messages = "\n".join(f.message for f in findings)
-    assert "missing test file tests/test_k.py" in messages
-    assert "not reachable from any test" in messages
-
-
-def test_kernel_covered_by_name_literal_passes(tmp_path):
-    findings = _tsan_gate(
-        tmp_path,
-        makefile=TSAN_RECIPE,
-        tests={"test_k.py": 'KERNELS = ("k",)\n'},
-    )
-    assert findings == []
-
-
-def test_kernel_covered_through_import_graph_passes(tmp_path):
-    findings = _tsan_gate(
-        tmp_path,
-        makefile=TSAN_RECIPE,
-        tests={"test_k.py": "import repro._native.foo\n"},
-    )
-    assert findings == []
-
-
-def test_uncovered_threaded_kernel_detected(tmp_path):
-    findings = _tsan_gate(
-        tmp_path,
-        makefile=TSAN_RECIPE,
-        tests={"test_k.py": "import os\n"},
-    )
-    assert len(findings) == 1
-    assert "threaded kernel 'k'" in findings[0].message
-    assert "not reachable from any test" in findings[0].message
-
-
-def test_tree_without_threaded_kernels_is_quiet(tmp_path):
-    unthreaded = THREADED_KERNEL_MODULE.replace(
-        "threaded=True,\n", ""
-    ).replace('serial_twin="repro.ref:serial_k",\n', "")
-    findings = _tsan_gate(tmp_path, kernel=unthreaded)
-    assert findings == []

@@ -80,7 +80,8 @@ class TestEdgeCoinsBulk:
 
 class TestPinnedBatch:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    @pytest.mark.parametrize("probability", [0.05, 0.3, 1.0])
+    # 0.0 and 1.5 pin the native kernel's empty and all-pass coin ranges
+    @pytest.mark.parametrize("probability", [0.0, 0.05, 0.3, 1.0, 1.5])
     def test_matches_scalar_loop(self, name, probability):
         graph = GRAPHS[name]
         n = graph.num_vertices

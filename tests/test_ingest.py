@@ -1,13 +1,11 @@
-"""Ingestion equivalence: parse tiers, builder engines, thread counts.
+"""Ingestion equivalence: parse tiers and builder engines.
 
-:func:`repro.graph.io.read_edge_list` is engine-gated and the
-``parse_edges`` kernel is thread-parallel, so the contract here is the
-strongest in the tree: the scalar per-line reader is ground truth, and
-the vector tokeniser and the native byte scanner must either reproduce
-it *bit for bit* (arrays, weight flag, inferred ``n``) at every thread
-count, or decline the input entirely so the caller falls back — never
-a third behaviour.  Malformed files must raise the scalar reader's
-exception type from every tier.
+:func:`repro.graph.io.read_edge_list` is engine-gated: the scalar
+per-line reader is ground truth, and the native byte scanner must
+either reproduce it *bit for bit* (arrays, weight flag, inferred ``n``)
+or decline the input entirely so the caller falls back — never a third
+behaviour.  Malformed files must raise the scalar reader's exception
+type from every engine.
 
 The builder half pins the counting-sort finalisation
 (:func:`repro.graph.builder._pair_order`) against the retained lexsort:
@@ -22,11 +20,8 @@ from hypothesis import strategies as st
 
 import repro.graph.io as gio
 from repro._native import parse as native_parse
-from repro._native.core import use_native_threads
 from repro.engine import use_engine
 from repro.graph.builder import GraphBuilder, from_edges
-
-THREAD_COUNTS = (1, 2, 4, 8)
 
 # Hand-picked bytes covering every grammar corner: comments and n=
 # headers (first/last/overlong), CR/CRLF/LF line breaks, blank and
@@ -45,18 +40,19 @@ EDGE_TEXT_CASES = [
     b"0 1 .5\n0 2 5.\n",
     b"007 08\n",
     b"0 1 1e400\n",  # float("1e400") and strtod both overflow to inf
+    b"-3 -5\n",  # max_id stays -1 when every id is negative
 ]
 
 # Inputs Python's int()/float() accept but the native strict grammar
 # does not: the kernel must decline (None) so the caller falls back to
-# a tier that reproduces the scalar result exactly.
+# the scalar reader.
 NATIVE_DECLINED_CASES = [
     b"1_0 2\n",  # PEP 515 underscore literal
     b"0 1 inf\n",
     b"0 1 nan\n",
 ]
 
-# Inputs outside the strict grammar: the fast tiers must return None
+# Inputs outside the strict grammar: the native tier must return None
 # and the end-to-end read must raise the scalar exception everywhere.
 MALFORMED_CASES = [
     b"0 1 3.5x\n",
@@ -76,14 +72,6 @@ def parse_tuple(parsed):
         max_id,
         header_n,
     )
-
-
-def assert_parsed_equal(got, ref):
-    """Field-wise bitwise comparison (nan-tolerant, unlike tuple ==)."""
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
-    assert np.array_equal(got[2], ref[2], equal_nan=True)
-    assert got[3:] == ref[3:]
 
 
 line_strategy = st.one_of(
@@ -118,16 +106,11 @@ text_strategy = st.builds(
 @pytest.mark.parametrize("raw", EDGE_TEXT_CASES)
 def test_parse_tiers_bit_identical(raw, one_based):
     ref = parse_tuple(gio._parse_edge_text_scalar(raw, one_based))
-    vec = gio._parse_edge_text_vector(raw, one_based)
-    assert vec is not None
-    assert parse_tuple(vec) == ref
     if native_parse.KERNEL.lib() is None:
         pytest.skip("parse kernel unavailable")
-    for threads in THREAD_COUNTS:
-        with use_native_threads(threads):
-            nat = native_parse.run(raw, one_based)
-        assert nat is not None
-        assert parse_tuple(nat) == ref
+    nat = native_parse.run(raw, one_based)
+    assert nat is not None
+    assert parse_tuple(nat) == ref
 
 
 @given(text=text_strategy, one_based=st.booleans())
@@ -135,30 +118,27 @@ def test_parse_tiers_bit_identical(raw, one_based):
 def test_parse_tiers_bit_identical_property(text, one_based):
     raw = text.encode()
     ref = parse_tuple(gio._parse_edge_text_scalar(raw, one_based))
-    vec = gio._parse_edge_text_vector(raw, one_based)
-    assert vec is not None and parse_tuple(vec) == ref
     if native_parse.KERNEL.lib() is not None:
-        for threads in (1, 3):
-            with use_native_threads(threads):
-                nat = native_parse.run(raw, one_based)
-            assert nat is not None and parse_tuple(nat) == ref
+        nat = native_parse.run(raw, one_based)
+        assert nat is not None and parse_tuple(nat) == ref
 
 
 @pytest.mark.parametrize("raw", MALFORMED_CASES)
 def test_fast_tiers_decline_malformed_input(raw):
-    assert gio._parse_edge_text_vector(raw, False) is None
     if native_parse.KERNEL.lib() is not None:
         assert native_parse.run(raw, False) is None
 
 
 @pytest.mark.parametrize("raw", NATIVE_DECLINED_CASES)
-def test_native_declines_loose_python_literals(raw):
-    ref = gio._parse_edge_text_scalar(raw, False)
-    vec = gio._parse_edge_text_vector(raw, False)
-    assert vec is not None
-    assert_parsed_equal(vec, ref)
+def test_native_declines_loose_python_literals(raw, tmp_path):
     if native_parse.KERNEL.lib() is not None:
         assert native_parse.run(raw, False) is None
+    # the fallback is the scalar reader, whatever the engine asked for
+    path = tmp_path / "edges.txt"
+    path.write_bytes(raw)
+    with use_engine("native"):
+        graph = gio.read_edge_list(path)
+    assert "parse_engine" not in graph.meta
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +178,15 @@ def test_read_edge_list_engine_equivalence(raw, tmp_path):
 def test_read_edge_list_records_parse_engine(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(b"0 1\n1 2\n")
+    if native_parse.KERNEL.lib() is None:
+        pytest.skip("parse kernel unavailable")
+    with use_engine("native"):
+        graph = gio.read_edge_list(path)
+    assert graph.meta["parse_engine"] == "native"
+    # no vector parse tier: the vector engine reads per line
     with use_engine("vector"):
         graph = gio.read_edge_list(path)
-    assert graph.meta["parse_engine"] == "vector"
+    assert "parse_engine" not in graph.meta
 
 
 def test_read_edge_list_one_based_and_header(tmp_path):

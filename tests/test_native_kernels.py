@@ -8,10 +8,8 @@ over structured and random inputs, the ``REPRO_NO_NATIVE`` gate is
 exercised through ``reset()``, and the build-info reporting surface is
 pinned.
 
-Thread-parallel kernels carry the stronger contract that results are
-bit-identical for **every** ``REPRO_NATIVE_THREADS`` value; the
-invariance tests here pin 1 vs 4 threads (and the no-native fallback)
-byte for byte.
+Every kernel is serial: no kernel compiles with ``-pthread``, and a
+leftover ``REPRO_NATIVE_THREADS`` setting changes no result.
 
 ``make bench-native`` runs this file twice — once with the C tier and
 once under ``REPRO_NO_NATIVE=1`` — so a kernel regression and a
@@ -57,12 +55,6 @@ KERNEL_NAMES = (
     "greedy_cover",
 )
 
-#: kernels that fan work out over a pthread pool; each must declare a
-#: serial twin and reproduce its single-thread result at any count.
-THREADED_KERNELS = (
-    "delta_scan", "rrr_sample", "counting_sort", "parse_edges",
-)
-
 GRAPHS = {
     "grid": make_grid(7, 6),
     "cliques": make_two_cliques(6),
@@ -95,11 +87,6 @@ def test_build_info_fields(name):
     assert info["source_digest"]
     assert ":" in info["scalar_twin"]
     assert info["vector_twin"] is None or ":" in info["vector_twin"]
-    assert isinstance(info["threaded"], bool)
-    if info["threaded"]:
-        assert ":" in info["serial_twin"]
-    else:
-        assert info["serial_twin"] is None
     if info["available"]:
         assert info["fallback"] is None
     else:
@@ -107,11 +94,20 @@ def test_build_info_fields(name):
 
 
 def test_threaded_kernel_set_is_pinned():
-    threaded = tuple(
-        name for name in KERNEL_NAMES
-        if native_core.get_kernel(name).build_info()["threaded"]
-    )
-    assert threaded == THREADED_KERNELS
+    """The threaded kernel set is empty: no kernel links pthreads."""
+    for name in KERNEL_NAMES:
+        kernel = native_core.get_kernel(name)
+        for profile in (None, *native_core.SANITIZE_PROFILES):
+            assert "-pthread" not in kernel.build_flags(profile)
+
+
+def test_native_threads_resolution(monkeypatch):
+    """Kernels are serial, so a leftover thread knob resolves to 1."""
+    monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+    assert native_core.native_threads() == 1
+    for value in ("8", "0", "bogus"):
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", value)
+        assert native_core.native_threads() == 1
 
 
 def test_build_info_all_covers_every_kernel():
@@ -128,7 +124,7 @@ def test_twins_resolve_dynamically():
         info = native_core.get_kernel(name).build_info()
         targets = [
             info[role]
-            for role in ("scalar_twin", "vector_twin", "serial_twin")
+            for role in ("scalar_twin", "vector_twin")
             if info[role] is not None
         ]
         for target in targets:
@@ -782,44 +778,16 @@ def test_greedy_cover_declines_out_of_range_member(bad):
 
     sets = greedy_sets([[0, 1], [2, bad], [3]])
     assert native_greedy.run(sets, 6, 2) is None
-    vector = greedy_outcome(sets, 6, 2, "vector")
-    assert greedy_outcome(sets, 6, 2, "native") == vector
+    assert greedy_outcome(sets, 6, 2, "vector") is ValueError
+    assert greedy_outcome(sets, 6, 2, "native") is ValueError
+    assert greedy_outcome(sets, 6, 2, "scalar") is ValueError
+    # a negative id must not wrap around to vertex n + id
+    wrapped = greedy_sets([[0, bad], [bad]])
+    assert greedy_outcome(wrapped, 3, 1, "scalar") is ValueError
 
 
 # ---------------------------------------------------------------------------
-# Thread-count resolution (REPRO_NATIVE_THREADS / cap / override)
-# ---------------------------------------------------------------------------
-def test_native_threads_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
-    assert native_core.native_threads() >= 1
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
-    assert native_core.native_threads() == 3
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "0")
-    assert native_core.native_threads() == 1  # clamped up
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "100000")
-    assert native_core.native_threads() == native_core.MAX_THREADS
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "bogus")
-    assert native_core.native_threads() >= 1  # malformed knob -> default
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
-    with native_core.use_native_threads(5):
-        assert native_core.native_threads() == 5  # override beats env
-
-
-def test_thread_cap_bounds_only_the_default(monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "6")
-    native_core.set_thread_cap(2)
-    try:
-        # an explicit env knob wins over the pool-worker cap...
-        assert native_core.native_threads() == 6
-        # ...but the cpu_count default is bounded by it.
-        monkeypatch.delenv("REPRO_NATIVE_THREADS")
-        assert native_core.native_threads() <= 2
-    finally:
-        native_core.set_thread_cap(None)
-
-
-# ---------------------------------------------------------------------------
-# Thread invariance: bit-identical results at every thread count
+# Thread invariance: a leftover REPRO_NATIVE_THREADS changes nothing
 # ---------------------------------------------------------------------------
 def test_rrr_sampling_thread_invariant(monkeypatch):
     from repro.apps.batch import sample_rrr_ic_pinned_batch
@@ -840,10 +808,8 @@ def test_rrr_sampling_thread_invariant(monkeypatch):
                 graph, 0.3, roots, original_of, sample_indices, 9
             )
 
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-    sets_1 = run()
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-    sets_4 = run()
+    native = run()
     scalar = [
         sample_rrr_ic_pinned(
             graph, 0.3, int(roots[i]), original_of,
@@ -851,22 +817,19 @@ def test_rrr_sampling_thread_invariant(monkeypatch):
         )
         for i in range(num_samples)
     ]
-    for a, b, c in zip(sets_1, sets_4, scalar):
-        assert a.root == b.root == c.root
-        assert np.array_equal(a.vertices, b.vertices)
+    assert len(native) == len(scalar)
+    for a, c in zip(native, scalar):
+        assert a.root == c.root
         assert np.array_equal(a.vertices, c.vertices)
-        assert a.edges_examined == b.edges_examined == c.edges_examined
+        assert a.edges_examined == c.edges_examined
 
 
 def test_delta_stepping_thread_invariant(monkeypatch):
     graph = GRAPHS["random"]
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-    one = delta_stepping(graph, 0, engine="native")
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-    four = delta_stepping(graph, 0, engine="native")
+    native = delta_stepping(graph, 0, engine="native")
     scalar = delta_stepping(graph, 0, engine="scalar")
-    assert_same_sssp(one, four)
-    assert_same_sssp(one, scalar)
+    assert_same_sssp(native, scalar)
 
 
 @pytest.mark.parametrize(
@@ -875,14 +838,13 @@ def test_delta_stepping_thread_invariant(monkeypatch):
 def test_degree_orderings_thread_invariant(scheme_name, monkeypatch):
     graph = GRAPHS["random"]
     scalar = order_with(scheme_name, graph, "scalar")
-    for threads in ("1", "4"):
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
-        native = order_with(scheme_name, graph, "native")
-        assert np.array_equal(native.permutation, scalar.permutation)
-        assert native.cost == scalar.cost
-        assert strip_engine_metadata(native.metadata) == (
-            strip_engine_metadata(scalar.metadata)
-        )
+    monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
+    native = order_with(scheme_name, graph, "native")
+    assert np.array_equal(native.permutation, scalar.permutation)
+    assert native.cost == scalar.cost
+    assert strip_engine_metadata(native.metadata) == (
+        strip_engine_metadata(scalar.metadata)
+    )
 
 
 def test_degree_ordering_no_native_gate(monkeypatch):
@@ -897,25 +859,21 @@ def test_degree_ordering_no_native_gate(monkeypatch):
         monkeypatch.delenv("REPRO_NO_NATIVE")
         kernel.reset()
     assert np.array_equal(gated.permutation, scalar.permutation)
-    assert gated.metadata["engine"] != "native"  # vector fallback ran
+    assert gated.metadata["engine"] != "native"  # argsort fallback ran
 
 
 # ---------------------------------------------------------------------------
 # Counting-sort kernel: direct parity with the stable argsort
 # ---------------------------------------------------------------------------
-@given(
-    keys=st.lists(st.integers(0, 15), min_size=0, max_size=200),
-    threads=st.sampled_from((1, 2, 4, 8)),
-)
+@given(keys=st.lists(st.integers(0, 15), min_size=0, max_size=200))
 @settings(max_examples=20, deadline=None)
-def test_counting_sort_matches_stable_argsort(keys, threads):
+def test_counting_sort_matches_stable_argsort(keys):
     from repro._native import counting
 
     if counting.KERNEL.lib() is None:
         pytest.skip("counting kernel unavailable")
     arr = np.asarray(keys, dtype=np.int64)
-    with native_core.use_native_threads(threads):
-        out = counting.run(arr, 16)
+    out = counting.run(arr, 16)
     assert out is not None
     assert np.array_equal(out, np.argsort(arr, kind="stable"))
 
@@ -926,47 +884,6 @@ def test_counting_sort_declines_oversized_buckets():
     keys = np.zeros(4, dtype=np.int64)
     assert counting.run(keys, counting._MAX_BUCKETS + 1) is None
     assert counting.run(keys, 0) is None
-
-
-# ---------------------------------------------------------------------------
-# Delta-stepping parallel edge relaxation: force the merge path
-# ---------------------------------------------------------------------------
-def test_delta_parallel_merge_matches_serial():
-    """A hub scan over the edge threshold merges to the serial result.
-
-    The surrogate graphs never reach the production ``PAR_MIN_EDGES``
-    threshold, so this test lowers it and drives the sharded
-    collect-then-merge branch directly against the single-thread run on
-    a star-heavy weighted graph.
-    """
-    from repro._native import delta as native_delta
-    from repro.apps.delta_stepping import _build_phases
-
-    if native_delta.KERNEL.lib() is None:
-        pytest.skip("delta kernel unavailable")
-    n = 300
-    edges = [(0, v) for v in range(1, n)]
-    edges += [(v, (v % 37) + 1) for v in range(1, n)]
-    weights = [0.5 + ((u * 7 + v * 3) % 13) / 13.0 for u, v in edges]
-    graph = from_edges(n, edges, weights=weights)
-    delta_width = 0.75
-    light, heavy, _cycles, warr, _ = _build_phases(graph, delta_width)
-    wmax = float(warr.max()) if warr.size else 1.0
-
-    def run(nthreads, par_min_edges):
-        return native_delta.run(
-            light.indptr, light.targets, light.weights,
-            heavy.indptr, heavy.targets, heavy.weights,
-            n=n, source=0, delta=delta_width, max_buckets=64,
-            wmax=wmax, nthreads=nthreads, par_min_edges=par_min_edges,
-        )
-
-    serial = run(1, 2)
-    for nthreads in (2, 4, 8):
-        parallel = run(nthreads, 2)
-        assert parallel is not None and serial is not None
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -993,8 +910,8 @@ def test_sanitize_profile_parsing(monkeypatch):
     assert native_core.sanitize_profile() is None
     monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "")
     assert native_core.sanitize_profile() is None
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", " TSan ")
-    assert native_core.sanitize_profile() == "tsan"
+    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", " ASan ")
+    assert native_core.sanitize_profile() == "asan"
     monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "msan")
     with pytest.raises(ValueError, match="msan"):
         native_core.sanitize_profile()
@@ -1017,7 +934,6 @@ def test_build_flags_per_profile():
     kernel = native_core.get_kernel("counting_sort")
     plain = kernel.build_flags(None)
     assert "-O3" in plain and "-Werror" not in plain
-    assert "-pthread" in plain  # counting_sort is threaded
     for profile, extra in native_core.SANITIZE_PROFILES.items():
         flags = kernel.build_flags(profile)
         for flag in extra:
